@@ -7,13 +7,14 @@ boundaries, render the console status block.
 
 from __future__ import annotations
 
+import http.client
 import logging
 import random
+import socket
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import requests
+from urllib.parse import urlencode, urlsplit
 
 from .controller import (
     ControllerConfig,
@@ -33,6 +34,13 @@ from .sensors import (
     round_half_up,
     sound_sample,
     ultrasonic_measure,
+)
+from .telemetry.store import (
+    AuthenticationError,
+    NotFoundError,
+    TelemetryError,
+    TelemetryStore,
+    ValidationError,
 )
 
 logger = logging.getLogger(__name__)
@@ -111,32 +119,93 @@ def render_status(
     return "\n".join(lines) + "\n"
 
 
+_FORM_HEADERS = {"Content-Type": "application/x-www-form-urlencoded"}
+
+# The status line the HTTP API answers each store rejection with.
+_REJECTED_STATUS = {
+    AuthenticationError: "401 Unauthorized",
+    ValidationError: "400 Bad Request",
+    NotFoundError: "404 Not Found",
+}
+
+
+def _peer_closed(sock) -> bool:
+    """An idle keep-alive socket with anything to read has been closed by the peer."""
+    timeout = sock.gettimeout()
+    sock.settimeout(0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)  # b"" at end of stream, or unsolicited bytes
+    except BlockingIOError:
+        return False
+    except OSError:
+        pass
+    finally:
+        sock.settimeout(timeout)
+    return True
+
+
 class TelemetryClient:
-    """Posts channel updates over the wire protocol."""
+    """Posts channel updates over the wire protocol on one keep-alive connection."""
 
     def __init__(self, base_url: str, timeout_s: float = 5.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
-        self._session = requests.Session()
+        url = urlsplit(base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"telemetry server URL must be http://host[:port], got {base_url!r}")
+        self._conn = http.client.HTTPConnection(url.hostname, url.port, timeout=timeout_s)
+        self._path = url.path.rstrip("/") + "/update"
 
     def post_update(self, write_key: str, values: dict, created_at: float):
         """Returns (transport status line, entry id or None on transport failure)."""
-        data = {"api_key": write_key, "created_at": f"{created_at:g}"}
+        form = {"api_key": write_key, "created_at": repr(float(created_at))}
         for position, value in values.items():
-            data[f"field{position}"] = value
-        try:
-            response = self._session.post(
-                self.base_url + "/update", data=data, timeout=self.timeout_s
-            )
-        except requests.RequestException:
-            return "unreachable", None
-        status = f"{response.status_code} {response.reason}"
-        if response.status_code != 200:
+            form[f"field{position}"] = value
+        body = urlencode(form).encode("ascii")
+        while True:  # a second pass only ever runs on a fresh connection
+            reused = self._conn.sock is not None
+            if reused and _peer_closed(self._conn.sock):
+                self._conn.close()
+                reused = False
+            try:
+                self._conn.request("POST", self._path, body, _FORM_HEADERS)
+                response = self._conn.getresponse()
+                reply = response.read()
+            except (http.client.RemoteDisconnected, BrokenPipeError):
+                # Dead before any response byte: the server never took this
+                # post, so one retry on a fresh connection cannot store it twice.
+                self._conn.close()
+                if reused:
+                    continue
+                return "unreachable", None
+            except (OSError, http.client.HTTPException):
+                self._conn.close()
+                return "unreachable", None
+            break
+        status = f"{response.status} {response.reason}"
+        if response.status != 200:
             return status, None
         try:
-            return status, int(response.text.strip())
+            return status, int(reply.strip())
         except ValueError:
             return status, None
+
+    def close(self) -> None:
+        self._conn.close()
+
+
+class StoreClient:
+    """Posts straight into an in-process store, answering as the HTTP API would."""
+
+    def __init__(self, store: TelemetryStore):
+        self.store = store
+
+    def post_update(self, write_key: str, values: dict, created_at: float):
+        try:
+            return "200 OK", self.store.write_update(write_key, values, created_at)
+        except TelemetryError as exc:
+            return _REJECTED_STATUS[type(exc)], None
+
+    def close(self) -> None:
+        self.store.close()
 
 
 @dataclass

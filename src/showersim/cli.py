@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument(
         "--embedded-server",
         action="store_true",
-        help="start an in-process telemetry server (the default)",
+        help="post in-process into a memory-only telemetry store (the default)",
     )
 
     analyze_p = sub.add_parser("analyze", help="label occupancy intervals in a feed CSV")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .agent import DeviceAgent
+from .agent import DeviceAgent, StoreClient, TelemetryClient
 from .config import RunConfig, default_run_config
 from .controller import ControllerConfig, Occupancy, classify_occupancy
 from .scenario import ScenarioValidationError, apply_event
@@ -54,14 +54,19 @@ class Report:
     posts_dropped: int = 0
 
 
+def _shower_channel(store: TelemetryStore, field_map: dict):
+    """The run's private channel, its fields named in field-position order."""
+    field_names = [field_map[pos] for pos in sorted(field_map)]
+    return store.create_channel("shower", field_names, visibility="private")
+
+
 class EmbeddedServer:
-    """In-process telemetry endpoint for self-contained runs."""
+    """A caller-owned HTTP telemetry server over a temporary store with one shower channel."""
 
     def __init__(self, field_map: dict):
         self._tmp = tempfile.TemporaryDirectory(prefix="showersim-telemetry-")
         self.store = TelemetryStore(self._tmp.name)
-        field_names = [field_map[pos] for pos in sorted(field_map)]
-        channel = self.store.create_channel("shower", field_names, visibility="private")
+        channel = _shower_channel(self.store, field_map)
         self.channel_id = channel.channel_id
         self.write_key = channel.write_key
         self.read_key = channel.read_key
@@ -84,8 +89,8 @@ def run_scenario(
     """Step the clock from 0 to the end event, one agent tick per step.
 
     Events with `at <= t` are applied before the tick at t, so an event on a
-    tick boundary is visible to that tick. With no server_url an in-process
-    telemetry server is started for the duration of the run.
+    tick boundary is visible to that tick. With no server_url the agent posts
+    straight into a memory-only store holding one "shower" channel.
     """
     config = config or default_run_config()
     if not events or events[-1].kind != "end":
@@ -94,13 +99,14 @@ def run_scenario(
     end_time = events[-1].at
     tick_count = int(math.floor(end_time / tick_s + 1e-9)) + 1
 
-    embedded = None
+    if server_url is None:
+        store = TelemetryStore()
+        write_key = _shower_channel(store, config.agent.field_map).write_key
+        client = StoreClient(store)
+    else:
+        client = TelemetryClient(server_url)
     try:
-        if server_url is None:
-            embedded = EmbeddedServer(config.agent.field_map)
-            server_url = embedded.url
-            write_key = embedded.write_key
-        agent_cfg = replace(config.agent, server_url=server_url, write_key=write_key or "")
+        agent_cfg = replace(config.agent, server_url=server_url or "", write_key=write_key or "")
         agent = DeviceAgent(
             agent_cfg,
             controller_cfg=config.controller,
@@ -108,6 +114,7 @@ def run_scenario(
             sensor_cfgs=config.sensors,
             profile=config.profile,
             seed=seed,
+            client=client,
         )
 
         env = EnvironmentState()
@@ -150,8 +157,7 @@ def run_scenario(
         )
         return report
     finally:
-        if embedded is not None:
-            embedded.close()
+        client.close()
 
 
 def analyze_occupancy(series, cfg: ControllerConfig) -> list:

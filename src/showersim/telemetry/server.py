@@ -32,6 +32,8 @@ from .store import (
 
 logger = logging.getLogger(__name__)
 
+MAX_BODY_BYTES = 64 * 1024  # a full /update form is well under 1 KiB
+
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
 
@@ -64,15 +66,28 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     def _params(self):
+        """(path, params), or None once a malformed request has been answered."""
         url = urlparse(self.path)
         params = parse_qs(url.query)
         if self.command == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            if length:
+            raw_length = (self.headers.get("Content-Length") or "0").strip()
+            if not raw_length.isascii() or not raw_length.isdigit():
+                return self._refuse(400, "Content-Length must be a non-negative integer")
+            length = int(raw_length)
+            if length > MAX_BODY_BYTES:
+                return self._refuse(413, f"request body over {MAX_BODY_BYTES} bytes")
+            try:
                 body = self.rfile.read(length).decode("utf-8")
-                for key, values in parse_qs(body).items():
-                    params.setdefault(key, []).extend(values)
+            except UnicodeDecodeError:
+                return self._refuse(400, "request body must be UTF-8")
+            for key, values in parse_qs(body).items():
+                params.setdefault(key, []).extend(values)
         return url.path, params
+
+    def _refuse(self, status: int, text: str) -> None:
+        """Answer a request whose body cannot be framed or read, then close."""
+        self.close_connection = True
+        self._send_text(status, text)
 
     @staticmethod
     def _first(params, key, default=None):
@@ -83,6 +98,8 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -105,7 +122,10 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------------
 
     def do_POST(self):
-        path, params = self._params()
+        request = self._params()
+        if request is None:
+            return
+        path, params = request
         if path == "/update":
             self._dispatch(self._post_update, params)
         elif path == "/channels":
@@ -114,7 +134,7 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             self._send_text(404, "not found")
 
     def do_GET(self):
-        path, params = self._params()
+        path, params = self._params()  # a GET has no body to refuse
         feeds = _FEEDS_RE.match(path)
         last = _LAST_RE.match(path)
         if feeds:

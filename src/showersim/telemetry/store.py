@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import secrets
 import string
@@ -222,18 +223,25 @@ class TelemetryStore:
 
         With created_at=None the entry is stamped with the store clock at
         commit time, under the channel lock, so concurrent writers can never
-        produce out-of-order timestamps.
+        produce out-of-order timestamps. A NaN or infinite created_at or float
+        value raises ValidationError and stores nothing.
         """
         channel = self._by_write_key.get(write_key)
         if channel is None:
             raise AuthenticationError("invalid key")
         if not values:
             raise ValidationError("no field values supplied")
-        for pos in values:
+        for pos, value in values.items():
             if not isinstance(pos, int) or not 1 <= pos <= len(channel.field_names):
                 raise ValidationError(f"field position {pos} outside the channel schema")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"field{pos} must be finite")
+        if created_at is not None:
+            created_at = float(created_at)
+            if not math.isfinite(created_at):
+                raise ValidationError("created_at must be finite")
         with channel.lock:
-            stamp = time.time() if created_at is None else float(created_at)
+            stamp = time.time() if created_at is None else created_at
             if channel.entries:
                 earliest = channel.entries[-1].created_at + channel.min_post_interval_s
                 if stamp < earliest:

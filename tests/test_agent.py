@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from showersim.agent import (
     AgentConfig,
     DeviceAgent,
+    StoreClient,
     TelemetryClient,
     render_status,
 )
+from showersim.telemetry.server import TelemetryRequestHandler
 from showersim.controller import Occupancy, WaterMode
 from showersim.sensors import EnvironmentState, PersonPose
 
@@ -137,6 +141,81 @@ class TestPostedTicks:
         created = [e.created_at for e in feed]
         assert created == sorted(created)
         assert created[0] == 0.0  # the outage payloads arrived, oldest first
+
+
+def count_connections(server):
+    """Count the connections the server accepts from now on."""
+    accepted = []
+    original = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        return original(request, client_address)
+
+    server.process_request = counting
+    return accepted
+
+
+class TestTelemetryClient:
+    def test_created_at_keeps_full_precision(self, sim_server):
+        ch = sim_server.store.create_channel("precise", ["n"])
+        client = TelemetryClient(sim_server.url)
+        try:
+            assert client.post_update(ch.write_key, {1: 1}, 1000001.0) == ("200 OK", 1)
+            assert client.post_update(ch.write_key, {1: 2}, 1000002.0) == ("200 OK", 2)
+        finally:
+            client.close()
+        feed = sim_server.store.read_feed(ch.channel_id, ch.read_key, 10)
+        assert [e.created_at for e in feed] == [1000001.0, 1000002.0]
+
+    def test_posts_share_one_connection(self, sim_server):
+        ch = sim_server.store.create_channel("keepalive", ["n"], min_post_interval_s=0.0)
+        accepted = count_connections(sim_server)
+        client = TelemetryClient(sim_server.url)
+        try:
+            ids = [client.post_update(ch.write_key, {1: k}, float(k))[1] for k in range(10)]
+        finally:
+            client.close()
+        assert ids == list(range(1, 11))
+        assert len(accepted) == 1
+
+    def test_reconnects_once_after_server_drops_idle_connection(self, sim_server, monkeypatch):
+        monkeypatch.setattr(TelemetryRequestHandler, "timeout", 0.2)  # server closes idle sockets
+        ch = sim_server.store.create_channel("idle", ["n"])
+        accepted = count_connections(sim_server)
+        client = TelemetryClient(sim_server.url)
+        try:
+            assert client.post_update(ch.write_key, {1: 1}, 0.0) == ("200 OK", 1)
+            time.sleep(0.6)
+            assert client.post_update(ch.write_key, {1: 2}, 1.0) == ("200 OK", 2)
+        finally:
+            client.close()
+        assert len(sim_server.store.read_feed(ch.channel_id, ch.read_key, 10)) == 2
+        assert len(accepted) == 2
+
+    def test_store_client_answers_like_the_http_api(self, sim_server):
+        ch = sim_server.store.create_channel("twins", ["a", "b", "c"], min_post_interval_s=0.0)
+        http_client = TelemetryClient(sim_server.url)
+        direct = StoreClient(sim_server.store)
+        cases = [
+            ("WRONGKEY00000000", {1: 1}, 0.0),  # 401
+            (ch.write_key, {4: 1}, 0.0),  # position outside the schema: 400
+            (ch.write_key, {1: float("nan")}, 0.0),
+            (ch.write_key, {1: 1}, float("inf")),
+        ]
+        try:
+            for key, values, created_at in cases:
+                answer = direct.post_update(key, values, created_at)
+                assert answer == http_client.post_update(key, values, created_at)
+                assert answer[1] is None
+            assert direct.post_update(ch.write_key, {1: 1}, 0.0) == ("200 OK", 1)
+            assert http_client.post_update(ch.write_key, {1: 2}, 1.0) == ("200 OK", 2)
+        finally:
+            http_client.close()
+        assert [
+            direct.post_update("WRONGKEY00000000", {1: 1}, 0.0)[0],
+            direct.post_update(ch.write_key, {4: 1}, 0.0)[0],
+        ] == ["401 Unauthorized", "400 Bad Request"]
 
 
 class TestAgentConfig:

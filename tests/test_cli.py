@@ -163,3 +163,8 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("ok:")
+
+    def test_cli_import_leaves_requests_unloaded(self):
+        code = "import showersim.cli, sys; assert 'requests' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -5,10 +5,11 @@ from __future__ import annotations
 import requests
 
 from showersim.config import default_run_config, load_config, parse_config
-from showersim.runner import EmbeddedServer, run_scenario
+from showersim.runner import EmbeddedServer, emit_report, run_scenario
 from showersim.scenario import parse_scenario
 
 from conftest import scenario_path
+from test_acceptance import GOLDEN_SCENARIOS
 
 
 def run_with_feed(name, conf=None, seed=0):
@@ -88,3 +89,30 @@ class TestRunEdges:
         entries = [row.entry_id for row in report.rows]
         assert entries == [1, 0, 2, 0, 3, 0, 4]
         assert report.posts_accepted == 4
+
+
+def test_default_run_matches_http_run_byte_for_byte(tmp_path, sim_server):
+    """The in-process store path and the HTTP path emit identical reports."""
+    for name, conf in GOLDEN_SCENARIOS:
+        events = parse_scenario(scenario_path(name).read_text())
+        config = load_config(scenario_path(conf)) if conf else default_run_config()
+        field_map = config.agent.field_map
+        channel = sim_server.store.create_channel(
+            name, [field_map[pos] for pos in sorted(field_map)]
+        )
+        reports = {
+            "direct": run_scenario(events, config, seed=5),
+            "http": run_scenario(
+                events, config, seed=5, server_url=sim_server.url, write_key=channel.write_key
+            ),
+        }
+        emitted = {}
+        for label, report in reports.items():
+            out = tmp_path / name / label
+            out.mkdir(parents=True)
+            emit_report(report, out / "report.csv", "csv")
+            emit_report(report, out / "report.jsonl", "jsonl")
+            emitted[label] = [
+                (out / f"report.{ext}").read_bytes() for ext in ("csv", "jsonl", "alerts")
+            ]
+        assert emitted["direct"] == emitted["http"], name

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import tempfile
+import threading
 
 import pytest
 
@@ -15,6 +17,7 @@ from showersim.runner import (
 )
 from showersim.safety import AlertKind
 from showersim.scenario import parse_scenario
+from showersim.telemetry.server import TelemetryHTTPServer
 
 from conftest import scenario_path
 
@@ -142,6 +145,18 @@ class TestRunScenario:
         assert [t for t, _ in report.console] == [0.0]  # 20 s run, one boundary
         report30 = run_file("occupancy_30s.scn", conf="occupancy_30s.conf")
         assert [t for t, _ in report30.console] == [0.0, 30.0, 60.0, 90.0, 120.0]
+
+    def test_default_run_starts_no_server_thread_or_temp_dir(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a default run must stay in-process")
+
+        monkeypatch.setattr(TelemetryHTTPServer, "__init__", forbidden)
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", forbidden)
+        threads = threading.active_count()
+        report = run_file("fall.scn")
+        assert [row.entry_id for row in report.rows] == list(range(1, len(report.rows) + 1))
+        assert threading.active_count() == threads
 
     def test_replay_is_deterministic(self):
         a = run_file("fall.scn", seed=42)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import socket
+
+import pytest
 import requests
 
 
@@ -174,4 +178,67 @@ class TestChannelAdmin:
         assert response.status_code == 400
 
     def test_unknown_path_is_404(self, sim_server):
+        assert requests.get(sim_server.url + "/nope", timeout=5).status_code == 404
+
+
+class TestNonFiniteInput:
+    def test_inf_created_at_is_400_and_channel_keeps_working(self, sim_server):
+        ch = create_channel(sim_server)
+        assert post_update(sim_server, ch["write_key"], {1: 1}, 0.0).text == "1"
+        response = post_update(sim_server, ch["write_key"], {1: 2}, "inf")
+        assert response.status_code == 400
+        assert post_update(sim_server, ch["write_key"], {1: 3}, 1.0).text == "2"
+
+    def test_nan_field_is_400_and_feeds_stay_strict_json(self, sim_server):
+        ch = create_channel(sim_server)
+        for created_at, value in ((0.0, "nan"), (0.0, "inf"), (0.0, "-Infinity")):
+            response = post_update(sim_server, ch["write_key"], {1: value}, created_at)
+            assert response.status_code == 400
+        assert post_update(sim_server, ch["write_key"], {1: 8}, 0.0).text == "1"
+        feeds = requests.get(
+            sim_server.url + f"/channels/{ch['channel_id']}/feeds.json",
+            params={"api_key": ch["read_key"], "results": 10},
+            timeout=5,
+        ).text
+        assert "NaN" not in feeds and "Infinity" not in feeds
+        assert [row["field1"] for row in json_strict(feeds)["feeds"]] == [8]
+
+
+def json_strict(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "head, body, status",
+        [
+            (b"Content-Length: abc\r\n", b"", b"400"),
+            (b"Content-Length: -5\r\n", b"api_key=x", b"400"),
+            (b"Content-Length: 11\r\n", b"api_key=\xff\xfe\xfd", b"400"),
+            (b"Content-Length: 10000000\r\n", b"api_key=x", b"413"),
+        ],
+        ids=["non-integer-length", "negative-length", "non-utf8-body", "oversized-body"],
+    )
+    def test_answered_then_closed(self, sim_server, head, body, status):
+        request = b"POST /update HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body
+        reply = raw_exchange(sim_server, request)
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 " + status)
+        assert b"Connection: close" in rest
         assert requests.get(sim_server.url + "/nope", timeout=5).status_code == 404

@@ -108,6 +108,27 @@ class TestWriteUpdate:
         with pytest.raises(ValidationError):
             store.write_update(ch.write_key, {4: 1}, 0.0)
 
+    @pytest.mark.parametrize("created_at", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_created_at_rejected(self, store, created_at):
+        ch = make_channel(store)
+        with pytest.raises(ValidationError):
+            store.write_update(ch.write_key, {1: 1}, created_at)
+        assert store.read_feed(ch.channel_id, ch.read_key, 10) == []
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, store, value):
+        ch = make_channel(store)
+        with pytest.raises(ValidationError):
+            store.write_update(ch.write_key, {1: 1, 2: value}, 0.0)
+        assert store.read_feed(ch.channel_id, ch.read_key, 10) == []
+
+    def test_inf_write_does_not_brick_channel(self, store):
+        ch = make_channel(store)
+        assert store.write_update(ch.write_key, {1: 1}, 0.0) == 1
+        with pytest.raises(ValidationError):
+            store.write_update(ch.write_key, {1: 2}, float("inf"))
+        assert store.write_update(ch.write_key, {1: 3}, 1.0) == 2
+
     def test_created_at_non_decreasing_per_channel(self, store):
         ch = make_channel(store, min_post_interval_s=0.0)
         rng = random.Random(99)
