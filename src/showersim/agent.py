@@ -12,7 +12,7 @@ import logging
 import random
 import socket
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import urlencode, urlsplit
 
@@ -22,7 +22,6 @@ from .controller import (
     Occupancy,
     UserProfile,
     WaterMode,
-    actuator_outputs,
     step,
 )
 from .safety import AlertKind, SafetyConfig, SafetyEngine
@@ -225,13 +224,12 @@ class TickResult:
     humidity_above_threshold: bool = False  # informational flag; no control action
 
 
-def _force_water_off(state: ControllerState) -> ControllerState:
-    forced = replace(state, mode=WaterMode.OFF, discharge_temp=0.0)
-    return replace(forced, leds=actuator_outputs(forced))
-
-
 class DeviceAgent:
-    """Owns the per-device state bundle and drives one tick at a time."""
+    """Owns the per-device state bundle and drives one tick at a time.
+
+    `client` posts the payloads (a TelemetryClient, a StoreClient or anything
+    with the same post_update); None means no transport. The caller closes it.
+    """
 
     def __init__(
         self,
@@ -250,12 +248,7 @@ class DeviceAgent:
         if len(self.sensors) != 3:
             raise ValueError("the agent drives exactly three ultrasonic rangers")
         self.profile = profile
-        if client is not None:
-            self.client = client
-        elif cfg.server_url:
-            self.client = TelemetryClient(cfg.server_url)
-        else:
-            self.client = None
+        self.client = client
         self.rng = random.Random(seed)
         self.state = ControllerState()
         self.engine = SafetyEngine(self.safety_cfg)
@@ -263,41 +256,36 @@ class DeviceAgent:
         self.water_lockout = False
         self.posts_attempted = 0
         self.posts_accepted = 0
+        self.posts_rejected = 0
         self.posts_dropped = 0
         self.last_status = "no transport"
         self._humidity_flag = False
 
     def tick(self, env: EnvironmentState, now: float) -> TickResult:
-        readings = [ultrasonic_measure(env, cfg, self.rng) for cfg in self.sensors]
-        dht = dht_measure(env)
+        ranges = [ultrasonic_measure(env, cfg, self.rng) for cfg in self.sensors]
+        temp_c, humidity = dht_measure(env)
         sound_bit = sound_sample(env, self.cfg.sound_threshold)
         gesture = gesture_poll(env)
 
-        new_state, commands = step(
-            self.state, [readings[0], dht], self.controller_cfg, self.profile, now
-        )
+        control = (ranges[0], temp_c, self.controller_cfg, self.profile, now)
+        new_state, commands = step(self.state, *control, water_locked=self.water_lockout)
         if new_state.occupancy is Occupancy.EMPTY:
             self.water_lockout = False  # episode over; lockout ends with it
-        elif self.water_lockout:
-            forced = _force_water_off(new_state)
-            if forced == self.state:
-                commands = []
-            new_state = forced
 
         per_sensor = tuple(
-            Occupancy.OCCUPIED if r.value < self.controller_cfg.activation_cm else Occupancy.EMPTY
-            for r in readings
+            Occupancy.OCCUPIED if r < self.controller_cfg.activation_cm else Occupancy.EMPTY
+            for r in ranges
         )
         alerts, safety_commands = self.engine.fuse_tick(
             per_sensor, sound_bit, gesture, new_state, now
         )
         if "water off" in safety_commands and new_state.occupancy is Occupancy.OCCUPIED:
+            # redo the step locked; the engine's "water off" is this tick's command
             self.water_lockout = True
-            new_state = _force_water_off(new_state)
+            new_state, _ = step(self.state, *control, water_locked=True)
         commands = commands + safety_commands
         self.state = new_state
 
-        temp_c, humidity = dht.value
         humidity_flag = humidity > self.controller_cfg.humidity_threshold_pct
         if humidity_flag != self._humidity_flag:
             logger.info(
@@ -307,7 +295,7 @@ class DeviceAgent:
                 self.controller_cfg.humidity_threshold_pct,
             )
             self._humidity_flag = humidity_flag
-        distance = round_half_up(readings[0].value)
+        distance = round_half_up(ranges[0])
         quantities = {
             "distance_cm": distance,
             "temperature_c": temp_c,
@@ -343,21 +331,30 @@ class DeviceAgent:
         return abs(ratio - round(ratio)) < 1e-9
 
     def _post(self, payload: dict, now: float) -> int:
-        """One post attempt per tick; unreachable payloads wait in a bounded queue."""
+        """Queue this tick's payload, then post the queue oldest first.
+
+        Posting stops at the first transport failure, which leaves the rest
+        queued (bounded, oldest dropped first). Returns this tick's entry id,
+        0 if it was rate-limited or is still queued.
+        """
         if len(self.queue) >= self.cfg.queue_limit:
             self.queue.popleft()
             self.posts_dropped += 1
         self.queue.append((now, payload))
-        head_time, head_payload = self.queue[0]
         self.posts_attempted += 1
         if self.client is None:
             self.last_status = "no transport"
             return 0
-        status, entry_id = self.client.post_update(self.cfg.write_key, head_payload, head_time)
-        self.last_status = status
-        if entry_id is None:
-            return 0  # transport failure: head stays queued
-        self.queue.popleft()
-        if entry_id > 0:
-            self.posts_accepted += 1
-        return entry_id if head_time == now else 0
+        while self.queue:
+            head_time, head_payload = self.queue[0]
+            self.last_status, entry_id = self.client.post_update(
+                self.cfg.write_key, head_payload, head_time
+            )
+            if entry_id is None:
+                return 0
+            self.queue.popleft()
+            if entry_id > 0:
+                self.posts_accepted += 1
+            else:
+                self.posts_rejected += 1
+        return entry_id

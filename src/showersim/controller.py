@@ -11,9 +11,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
-
-from .sensors import SensorKind, SensorReading
+from typing import Optional
 
 
 class Occupancy(Enum):
@@ -42,10 +40,6 @@ MODE_LED = {WaterMode.COLD: "yellow", WaterMode.HOT: "green", WaterMode.NORMAL: 
 NOMINAL_DISCHARGE_C = {WaterMode.HOT: 45.0, WaterMode.COLD: 20.0, WaterMode.NORMAL: 37.0}
 
 _PIN_RE = re.compile(r"^[0-9]{4}$")
-
-
-class MissingReadingError(ValueError):
-    """A control step ran without a required sensor reading."""
 
 
 @dataclass(frozen=True)
@@ -137,41 +131,34 @@ def actuator_outputs(state: ControllerState) -> frozenset:
 
 def step(
     state: ControllerState,
-    readings: Iterable[SensorReading],
+    distance: float,
+    temp_c: float,
     cfg: ControllerConfig,
     profile: Optional[UserProfile] = None,
     now: float = 0.0,
+    water_locked: bool = False,
 ) -> tuple[ControllerState, list[str]]:
-    """Advance the state machine one tick from the latest readings.
+    """Advance the state machine one tick from the ranger distance and temperature.
 
-    Commands (mode and LED changes) are emitted only when the corresponding
-    piece of state actually changed, so an unchanged state produces none.
+    While water_locked (a safety shut-off for this episode) an occupied
+    shower stays occupied but runs no water. Commands (mode and LED changes)
+    are emitted only when the corresponding piece of state actually changed,
+    so an unchanged state produces none.
     """
-    ultrasonic = None
-    dht = None
-    for reading in readings:
-        if reading.kind is SensorKind.ULTRASONIC and ultrasonic is None:
-            ultrasonic = reading
-        elif reading.kind is SensorKind.TEMP_HUMIDITY and dht is None:
-            dht = reading
-    if ultrasonic is None:
-        raise MissingReadingError("missing ultrasonic reading")
-    if dht is None:
-        raise MissingReadingError("missing temp_humidity reading")
-    temp_c, _humidity = dht.value
-
-    occupancy = classify_occupancy(ultrasonic.value, state.occupancy, cfg)
+    occupancy = classify_occupancy(distance, state.occupancy, cfg)
     if occupancy is Occupancy.OCCUPIED:
+        occupied_since = state.occupied_since if state.occupancy is Occupancy.OCCUPIED else now
+    else:
+        occupied_since = None
+    if occupancy is Occupancy.EMPTY or water_locked:
+        mode = WaterMode.OFF
+        discharge = 0.0
+    else:
         mode = select_water_mode(temp_c, cfg, profile)
         if profile is not None and profile.preference_mode is PreferenceMode.FIXED:
             discharge = clamp_discharge_temperature(profile.preferred_temp, cfg)
         else:
             discharge = clamp_discharge_temperature(NOMINAL_DISCHARGE_C[mode], cfg)
-        occupied_since = state.occupied_since if state.occupancy is Occupancy.OCCUPIED else now
-    else:
-        mode = WaterMode.OFF
-        discharge = 0.0
-        occupied_since = None
 
     new_state = ControllerState(occupancy, mode, discharge, occupied_since)
     new_state = replace(new_state, leds=actuator_outputs(new_state))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -14,7 +13,6 @@ from .config import RunConfig, default_run_config
 from .controller import ControllerConfig, Occupancy, classify_occupancy
 from .scenario import ScenarioValidationError, apply_event
 from .sensors import EnvironmentState
-from .telemetry.server import TelemetryHTTPServer
 from .telemetry.store import TelemetryStore
 
 CSV_COLUMNS = ("time_s", "distance_cm", "temp_c", "humidity_pct", "occupancy", "mode", "entry_id")
@@ -51,6 +49,7 @@ class Report:
     console: list = field(default_factory=list)  # (time_s, rendered block)
     posts_attempted: int = 0
     posts_accepted: int = 0
+    posts_rejected: int = 0  # answered with entry id 0 (rate-limited)
     posts_dropped: int = 0
 
 
@@ -58,25 +57,6 @@ def _shower_channel(store: TelemetryStore, field_map: dict):
     """The run's private channel, its fields named in field-position order."""
     field_names = [field_map[pos] for pos in sorted(field_map)]
     return store.create_channel("shower", field_names, visibility="private")
-
-
-class EmbeddedServer:
-    """A caller-owned HTTP telemetry server over a temporary store with one shower channel."""
-
-    def __init__(self, field_map: dict):
-        self._tmp = tempfile.TemporaryDirectory(prefix="showersim-telemetry-")
-        self.store = TelemetryStore(self._tmp.name)
-        channel = _shower_channel(self.store, field_map)
-        self.channel_id = channel.channel_id
-        self.write_key = channel.write_key
-        self.read_key = channel.read_key
-        self.server = TelemetryHTTPServer(self.store, sim_time=True).start()
-        self.url = self.server.url
-
-    def close(self) -> None:
-        self.server.stop()
-        self.store.close()
-        self._tmp.cleanup()
 
 
 def run_scenario(
@@ -106,9 +86,8 @@ def run_scenario(
     else:
         client = TelemetryClient(server_url)
     try:
-        agent_cfg = replace(config.agent, server_url=server_url or "", write_key=write_key or "")
         agent = DeviceAgent(
-            agent_cfg,
+            replace(config.agent, write_key=write_key or ""),
             controller_cfg=config.controller,
             safety_cfg=config.safety,
             sensor_cfgs=config.sensors,
@@ -128,7 +107,6 @@ def run_scenario(
             while index < len(pending) and pending[index].at <= now + 1e-9:
                 apply_event(env, pending[index])
                 index += 1
-            env.sim_time = now
             result = agent.tick(env, now)
             row = ReportRow(
                 time_s=now,
@@ -151,6 +129,7 @@ def run_scenario(
 
         report.posts_attempted = agent.posts_attempted
         report.posts_accepted = agent.posts_accepted
+        report.posts_rejected = agent.posts_rejected
         report.posts_dropped = agent.posts_dropped
         report.intervals = analyze_occupancy(
             [(row.time_s, row.distance_cm) for row in report.rows], config.controller
@@ -192,36 +171,14 @@ def emit_report(report: Report, path, fmt: str) -> list:
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for row in report.rows:
-            lines.append(
-                ",".join(
-                    (
-                        _num(row.time_s),
-                        str(row.distance_cm),
-                        str(row.temp_c),
-                        str(row.humidity_pct),
-                        row.occupancy,
-                        row.mode,
-                        str(row.entry_id),
-                    )
-                )
-            )
+            cells = [_num(row.time_s)]
+            cells.extend(str(getattr(row, name)) for name in CSV_COLUMNS[1:])
+            lines.append(",".join(cells))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == "jsonl":
-        lines = []
-        for row in report.rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "time_s": row.time_s,
-                        "distance_cm": row.distance_cm,
-                        "temp_c": row.temp_c,
-                        "humidity_pct": row.humidity_pct,
-                        "occupancy": row.occupancy,
-                        "mode": row.mode,
-                        "entry_id": row.entry_id,
-                    }
-                )
-            )
+        lines = [
+            json.dumps({name: getattr(row, name) for name in CSV_COLUMNS}) for row in report.rows
+        ]
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

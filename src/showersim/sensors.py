@@ -53,18 +53,10 @@ class GestureCode(Enum):
             raise ValueError(f"unknown gesture code: {text!r}") from None
 
 
-class SensorKind(Enum):
-    ULTRASONIC = "ultrasonic"
-    TEMP_HUMIDITY = "temp_humidity"
-    SOUND = "sound"
-    GESTURE = "gesture"
-
-
 @dataclass
 class EnvironmentState:
     """Ground truth at one simulation instant; every sensor samples from this."""
 
-    sim_time: float = 0.0
     ambient_temp: float = 20.0
     ambient_humidity: float = 50.0
     person_pose: PersonPose = PersonPose.ABSENT
@@ -105,16 +97,6 @@ class UltrasonicConfig:
             raise ValueError("noise_sigma must be >= 0")
 
 
-@dataclass(frozen=True)
-class SensorReading:
-    """One timestamped measurement from one virtual sensor."""
-
-    sensor_id: str
-    kind: SensorKind
-    timestamp: float
-    value: object
-
-
 def default_ultrasonic_array() -> tuple[UltrasonicConfig, UltrasonicConfig, UltrasonicConfig]:
     """Three rangers on the shower-head pole: head, torso and floor coverage."""
     return (
@@ -143,8 +125,8 @@ def ultrasonic_measure(
     env: EnvironmentState,
     cfg: UltrasonicConfig,
     rng: Optional[random.Random] = None,
-) -> SensorReading:
-    """Range to the nearest obstacle in the beam, clamped to the sensor window.
+) -> float:
+    """Range in cm to the nearest obstacle in the beam, clamped to the sensor window.
 
     An unobstructed beam reads max_range rather than erroring, matching how
     ranging modules behave with no echo.
@@ -155,20 +137,17 @@ def ultrasonic_measure(
             if rng is None:
                 raise ValueError("noise_sigma > 0 requires a seeded rng")
             distance += rng.gauss(0.0, cfg.noise_sigma)
-        distance = min(max(distance, cfg.min_range), cfg.max_range)
-    else:
-        distance = cfg.max_range
-    return SensorReading(cfg.sensor_id, SensorKind.ULTRASONIC, env.sim_time, distance)
+        return min(max(distance, cfg.min_range), cfg.max_range)
+    return cfg.max_range
 
 
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def dht_measure(env: EnvironmentState, sensor_id: str = "dht-1") -> SensorReading:
-    """Integer-resolution temperature/humidity pair, rounded half-up."""
-    value = (round_half_up(env.ambient_temp), round_half_up(env.ambient_humidity))
-    return SensorReading(sensor_id, SensorKind.TEMP_HUMIDITY, env.sim_time, value)
+def dht_measure(env: EnvironmentState) -> tuple[int, int]:
+    """Integer-resolution (temperature, humidity) pair, rounded half-up."""
+    return round_half_up(env.ambient_temp), round_half_up(env.ambient_humidity)
 
 
 def sound_sample(env: EnvironmentState, threshold: float) -> int:

@@ -318,8 +318,3 @@ class TelemetryStore:
         for fh in self._files.values():
             fh.close()
         self._files.clear()
-
-
-def recover(data_dir) -> TelemetryStore:
-    """Rebuild a store from the append-only logs under data_dir."""
-    return TelemetryStore(data_dir)

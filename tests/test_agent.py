@@ -12,6 +12,7 @@ from showersim.agent import (
     render_status,
 )
 from showersim.telemetry.server import TelemetryRequestHandler
+from showersim.telemetry.store import TelemetryStore
 from showersim.controller import Occupancy, WaterMode
 from showersim.sensors import EnvironmentState, PersonPose
 
@@ -96,10 +97,13 @@ class TestOfflineTicks:
         assert any("threshold" in record.message for record in caplog.records)
 
     def test_queue_bound_drop_oldest(self):
-        cfg = AgentConfig(queue_limit=5, server_url="http://127.0.0.1:9/")  # closed port
-        agent = DeviceAgent(cfg)
-        for k in range(12):
-            agent.tick(env_absent(), float(k))
+        client = TelemetryClient("http://127.0.0.1:9/")  # closed port
+        agent = DeviceAgent(AgentConfig(queue_limit=5), client=client)
+        try:
+            for k in range(12):
+                agent.tick(env_absent(), float(k))
+        finally:
+            client.close()
         assert len(agent.queue) == 5
         assert agent.posts_dropped == 7
         assert agent.last_status == "unreachable"
@@ -113,10 +117,13 @@ class TestPostedTicks:
             "shower",
             ["distance_cm", "temperature_c", "humidity_pct", "mode_code", "alert_code"],
         )
-        cfg = AgentConfig(server_url=sim_server.url, write_key=ch.write_key)
-        agent = DeviceAgent(cfg)
-        first = agent.tick(env_absent(), 0.0)
-        second = agent.tick(env_absent(), 1.0)
+        client = TelemetryClient(sim_server.url)
+        agent = DeviceAgent(AgentConfig(write_key=ch.write_key), client=client)
+        try:
+            first = agent.tick(env_absent(), 0.0)
+            second = agent.tick(env_absent(), 1.0)
+        finally:
+            client.close()
         assert (first.entry_id, second.entry_id) == (1, 2)
         assert agent.posts_accepted == 2
         assert first.transport_status == "200 OK"
@@ -127,20 +134,68 @@ class TestPostedTicks:
             ["distance_cm", "temperature_c", "humidity_pct", "mode_code", "alert_code"],
             min_post_interval_s=0.0,
         )
-        cfg = AgentConfig(server_url=sim_server.url, write_key=ch.write_key)
-        agent = DeviceAgent(cfg)
+        agent = DeviceAgent(AgentConfig(write_key=ch.write_key))
         agent.client = TelemetryClient("http://127.0.0.1:9/")  # outage
         for k in range(3):
             agent.tick(env_absent(), float(k))
         assert len(agent.queue) == 3
         agent.client = TelemetryClient(sim_server.url)  # server back up
-        for k in range(3, 9):
-            agent.tick(env_absent(), float(k))
+        try:
+            for k in range(3, 9):
+                agent.tick(env_absent(), float(k))
+        finally:
+            agent.client.close()
         assert len(agent.queue) <= 3
         feed = sim_server.store.read_feed(ch.channel_id, ch.read_key, 100)
         created = [e.created_at for e in feed]
         assert created == sorted(created)
         assert created[0] == 0.0  # the outage payloads arrived, oldest first
+
+
+class FlakyStoreClient(StoreClient):
+    """A store client whose transport is down for the first `outage` posts."""
+
+    def __init__(self, store, outage):
+        super().__init__(store)
+        self.outage = outage
+
+    def post_update(self, write_key, values, created_at):
+        if self.outage > 0:
+            self.outage -= 1
+            return "unreachable", None
+        return super().post_update(write_key, values, created_at)
+
+
+class TestBacklog:
+    def make(self, outage, tick_s=1.0):
+        store = TelemetryStore()  # the channel keeps the default 1 s post interval
+        ch = store.create_channel(
+            "shower",
+            ["distance_cm", "temperature_c", "humidity_pct", "mode_code", "alert_code"],
+        )
+        cfg = AgentConfig(tick_s=tick_s, display_every_s=30.0, write_key=ch.write_key)
+        return DeviceAgent(cfg, client=FlakyStoreClient(store, outage)), store, ch
+
+    def test_queue_drains_on_the_first_good_tick(self):
+        agent, store, ch = self.make(outage=3)
+        rows = [agent.tick(env_absent(), float(k)) for k in range(4)]
+        assert [r.entry_id for r in rows] == [0, 0, 0, 4]
+        assert [r.transport_status for r in rows] == ["unreachable"] * 3 + ["200 OK"]
+        assert list(agent.queue) == []
+        rows += [agent.tick(env_absent(), float(k)) for k in range(4, 40)]
+        assert [r.entry_id for r in rows[3:]] == list(range(4, 41))
+        feed = store.read_feed(ch.channel_id, ch.read_key, 100)
+        assert [e.created_at for e in feed] == [float(k) for k in range(40)]
+        assert agent.posts_accepted == 40
+
+    def test_every_attempt_is_accounted_for(self):
+        # an outage, then half-second ticks against a 1 s post interval
+        agent, _, _ = self.make(outage=4, tick_s=0.5)
+        for k in range(30):
+            agent.tick(env_absent(), k * 0.5)
+            settled = agent.posts_accepted + agent.posts_rejected + agent.posts_dropped
+            assert agent.posts_attempted == k + 1 == settled + len(agent.queue)
+        assert agent.posts_rejected > 0 and not agent.queue
 
 
 def count_connections(server):

@@ -38,6 +38,15 @@ class TestRun:
         assert "21 ticks" in stdout
         assert "Shower room empty" in stdout  # the t=0 console block
 
+    def test_rate_limited_posts_are_counted(self, tmp_path, capsys):
+        # half-second ticks against the run channel's 1 s post interval
+        conf = tmp_path / "fast.conf"
+        conf.write_text("tick_s = 0.5\n")
+        code = run_cli("run", scenario_path("approach.scn"), "--config", conf, "--out", tmp_path)
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("41 ticks, 21 accepted posts, 20 rejected, 0 dropped, ")
+
     def test_run_with_config(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(
@@ -165,6 +174,9 @@ class TestConsoleScript:
         assert result.stdout.startswith("ok:")
 
     def test_cli_import_leaves_requests_unloaded(self):
-        code = "import showersim.cli, sys; assert 'requests' not in sys.modules"
+        code = (
+            "import showersim.cli, sys; "
+            "assert 'requests' not in sys.modules; assert 'http.server' not in sys.modules"
+        )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

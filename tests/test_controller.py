@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from showersim.controller import (
     ControllerConfig,
     ControllerState,
-    MissingReadingError,
     Occupancy,
     PreferenceMode,
     UserProfile,
@@ -19,18 +18,9 @@ from showersim.controller import (
     select_water_mode,
     step,
 )
-from showersim.sensors import SensorKind, SensorReading
 
 DEFAULTS = ControllerConfig()
 HYSTERESIS = ControllerConfig(activation_cm=45.72, deactivation_cm=76.2)
-
-
-def us_reading(distance: float) -> SensorReading:
-    return SensorReading("us-1", SensorKind.ULTRASONIC, 0.0, distance)
-
-
-def dht_reading(temp: int, humidity: int = 15) -> SensorReading:
-    return SensorReading("dht-1", SensorKind.TEMP_HUMIDITY, 0.0, (temp, humidity))
 
 
 class TestClassifyOccupancy:
@@ -126,14 +116,14 @@ class TestActuatorOutputs:
 
 class TestStep:
     def test_enter_and_cold(self):
-        state, commands = step(ControllerState(), [us_reading(16), dht_reading(23)], DEFAULTS)
+        state, commands = step(ControllerState(), 16, 23, DEFAULTS)
         assert state.occupancy is Occupancy.OCCUPIED
         assert state.mode is WaterMode.COLD
         assert state.leds == {"blue", "yellow"}
         assert "mode cold" in commands
 
     def test_empty_room_stays_off(self):
-        state, commands = step(ControllerState(), [us_reading(144), dht_reading(25)], DEFAULTS)
+        state, commands = step(ControllerState(), 144, 25, DEFAULTS)
         assert state.occupancy is Occupancy.EMPTY
         assert state.mode is WaterMode.OFF
         assert commands == []
@@ -142,35 +132,28 @@ class TestStep:
         occupied = ControllerState(
             Occupancy.OCCUPIED, WaterMode.HOT, 45.0, 0.0, frozenset({"blue", "green"})
         )
-        state, commands = step(occupied, [us_reading(74), dht_reading(21)], DEFAULTS, now=30.0)
+        state, commands = step(occupied, 74, 21, DEFAULTS, now=30.0)
         assert state.occupancy is Occupancy.EMPTY
         assert state.mode is WaterMode.OFF
         assert state.occupied_since is None
         assert "water off" in commands
 
     def test_occupied_since_tracks_entry(self):
-        state, _ = step(ControllerState(), [us_reading(16), dht_reading(23)], DEFAULTS, now=5.0)
+        state, _ = step(ControllerState(), 16, 23, DEFAULTS, now=5.0)
         assert state.occupied_since == 5.0
-        later, _ = step(state, [us_reading(16), dht_reading(23)], DEFAULTS, now=9.0)
+        later, _ = step(state, 16, 23, DEFAULTS, now=9.0)
         assert later.occupied_since == 5.0  # entry time sticks for the episode
-
-    def test_missing_readings_named(self):
-        with pytest.raises(MissingReadingError, match="ultrasonic"):
-            step(ControllerState(), [dht_reading(23)], DEFAULTS)
-        with pytest.raises(MissingReadingError, match="temp_humidity"):
-            step(ControllerState(), [us_reading(16)], DEFAULTS)
 
     def test_step_is_pure(self):
         state = ControllerState()
-        readings = [us_reading(16), dht_reading(23)]
-        assert step(state, readings, DEFAULTS, now=1.0) == step(state, readings, DEFAULTS, now=1.0)
+        assert step(state, 16, 23, DEFAULTS, now=1.0) == step(state, 16, 23, DEFAULTS, now=1.0)
         assert state == ControllerState()  # input untouched
 
     def test_no_chatter_on_threshold_crossings(self):
         state = ControllerState()
         command_batches = []
         for distance in [59, 61] * 10:
-            state, commands = step(state, [us_reading(distance), dht_reading(25)], DEFAULTS)
+            state, commands = step(state, distance, 25, DEFAULTS)
             command_batches.append(commands)
         # every crossing flips the state exactly once; no batch is emitted
         # while the state is unchanged
@@ -178,7 +161,7 @@ class TestStep:
         occupancies = []
         state = ControllerState()
         for distance in [59, 59, 61, 61, 59]:
-            state, commands = step(state, [us_reading(distance), dht_reading(25)], DEFAULTS)
+            state, commands = step(state, distance, 25, DEFAULTS)
             occupancies.append((state.occupancy, bool(commands)))
         assert occupancies == [
             (Occupancy.OCCUPIED, True),
@@ -196,16 +179,42 @@ class TestStep:
         state = ControllerState()
         for i, distance in enumerate(distances):
             temp = temps[i % len(temps)]
-            state, _ = step(state, [us_reading(distance), dht_reading(temp)], DEFAULTS, now=float(i))
+            state, _ = step(state, distance, temp, DEFAULTS, now=float(i))
             if state.mode is not WaterMode.OFF:
                 assert state.occupancy is Occupancy.OCCUPIED
             assert state.discharge_temp <= DEFAULTS.max_discharge_c
 
     def test_fixed_profile_discharge_clamped(self):
         profile = UserProfile("bob", "1111", 60.0, PreferenceMode.FIXED)
-        state, _ = step(ControllerState(), [us_reading(16), dht_reading(23)], DEFAULTS, profile)
+        state, _ = step(ControllerState(), 16, 23, DEFAULTS, profile)
         assert state.mode is WaterMode.NORMAL
         assert state.discharge_temp == 50.0
+
+
+class TestWaterLock:
+    HOT = ControllerState(
+        Occupancy.OCCUPIED, WaterMode.HOT, 45.0, 3.0, frozenset({"blue", "green"})
+    )
+
+    def test_lock_shuts_water_off_and_keeps_the_episode(self):
+        state, commands = step(self.HOT, 16, 21, DEFAULTS, now=10.0, water_locked=True)
+        assert state.occupancy is Occupancy.OCCUPIED
+        assert state.mode is WaterMode.OFF
+        assert state.discharge_temp == 0.0
+        assert state.leds == {"blue"}
+        assert state.occupied_since == 3.0
+        assert commands == ["water off", "led green off"]
+
+    def test_second_locked_step_is_silent(self):
+        state, _ = step(self.HOT, 16, 21, DEFAULTS, now=10.0, water_locked=True)
+        again, commands = step(state, 16, 21, DEFAULTS, now=11.0, water_locked=True)
+        assert again == state
+        assert commands == []
+
+    def test_locked_step_when_empty_is_the_plain_empty_state(self):
+        locked = step(self.HOT, 144, 21, DEFAULTS, now=10.0, water_locked=True)
+        assert locked == step(self.HOT, 144, 21, DEFAULTS, now=10.0)
+        assert locked[0] == ControllerState()
 
 
 class TestUserProfile:

@@ -5,43 +5,41 @@ from __future__ import annotations
 import requests
 
 from showersim.config import default_run_config, load_config, parse_config
-from showersim.runner import EmbeddedServer, emit_report, run_scenario
+from showersim.runner import emit_report, run_scenario
 from showersim.scenario import parse_scenario
 
 from conftest import scenario_path
 from test_acceptance import GOLDEN_SCENARIOS
 
 
-def run_with_feed(name, conf=None, seed=0):
-    """Run a golden scenario against a caller-owned embedded server."""
+def run_with_feed(server, name, conf=None, seed=0):
+    """Run a golden scenario against a simulation-time HTTP server's "shower" channel."""
     events = parse_scenario(scenario_path(name).read_text())
     config = load_config(scenario_path(conf)) if conf else default_run_config()
-    server = EmbeddedServer(config.agent.field_map)
-    try:
-        report = run_scenario(
-            events, config, seed=seed, server_url=server.url, write_key=server.write_key
-        )
-        feeds = requests.get(
-            server.url + f"/channels/{server.channel_id}/feeds.json",
-            params={"api_key": server.read_key, "results": 10_000},
-            timeout=5,
-        ).json()["feeds"]
-        return report, feeds
-    finally:
-        server.close()
+    field_map = config.agent.field_map
+    channel = server.store.create_channel("shower", [field_map[pos] for pos in sorted(field_map)])
+    report = run_scenario(
+        events, config, seed=seed, server_url=server.url, write_key=channel.write_key
+    )
+    feeds = requests.get(
+        server.url + f"/channels/{channel.channel_id}/feeds.json",
+        params={"api_key": channel.read_key, "results": 10_000},
+        timeout=5,
+    ).json()["feeds"]
+    return report, feeds
 
 
 class TestFeedMirrorsRun:
-    def test_fall_alert_code_lands_in_field5(self):
-        report, feeds = run_with_feed("fall.scn")
+    def test_fall_alert_code_lands_in_field5(self, sim_server):
+        report, feeds = run_with_feed(sim_server, "fall.scn")
         assert len(feeds) == len(report.rows)
         by_time = {f["created_at"]: f for f in feeds}
         assert by_time[14.0]["field5"] == 1  # fall code on the alert tick
         assert by_time[13.0]["field5"] == 0
         assert by_time[15.0]["field5"] == 0  # alert is not re-broadcast
 
-    def test_feed_columns_track_report_rows(self):
-        report, feeds = run_with_feed("hairdryer.scn")
+    def test_feed_columns_track_report_rows(self, sim_server):
+        report, feeds = run_with_feed(sim_server, "hairdryer.scn")
         for row, feed in zip(report.rows, feeds):
             assert feed["created_at"] == row.time_s
             assert feed["entry_id"] == row.entry_id
@@ -49,13 +47,13 @@ class TestFeedMirrorsRun:
             assert feed["field2"] == row.temp_c
             assert feed["field3"] == row.humidity_pct
 
-    def test_help_code_is_2(self):
-        report, feeds = run_with_feed("help_gesture.scn")
+    def test_help_code_is_2(self, sim_server):
+        report, feeds = run_with_feed(sim_server, "help_gesture.scn")
         by_time = {f["created_at"]: f for f in feeds}
         assert by_time[5.0]["field5"] == 2
 
-    def test_prolonged_hot_code_and_mode_drop(self):
-        report, feeds = run_with_feed("prolonged_hot.scn", conf="short_safety.conf")
+    def test_prolonged_hot_code_and_mode_drop(self, sim_server):
+        report, feeds = run_with_feed(sim_server, "prolonged_hot.scn", conf="short_safety.conf")
         by_time = {f["created_at"]: f for f in feeds}
         assert by_time[9.0]["field4"] == 1  # hot
         assert by_time[10.0]["field5"] == 3  # prolonged-hot code

@@ -9,7 +9,6 @@ from showersim.sensors import (
     EnvironmentState,
     GestureCode,
     PersonPose,
-    SensorKind,
     UltrasonicConfig,
     default_ultrasonic_array,
     dht_measure,
@@ -50,28 +49,26 @@ class TestTimeOfFlight:
 class TestUltrasonic:
     def test_standing_passthrough(self):
         cfg = UltrasonicConfig("us-1", mount_height=150.0)
-        reading = ultrasonic_measure(standing(100.0), cfg)
-        assert reading.value == 100.0
-        assert reading.kind is SensorKind.ULTRASONIC
+        assert ultrasonic_measure(standing(100.0), cfg) == 100.0
 
     def test_absent_reads_max_range(self):
         cfg = UltrasonicConfig("us-1", mount_height=150.0)
-        assert ultrasonic_measure(env(), cfg).value == 600.0
+        assert ultrasonic_measure(env(), cfg) == 600.0
 
     def test_close_obstacle_clamps_to_min_range(self):
         cfg = UltrasonicConfig("us-1", mount_height=150.0)
-        assert ultrasonic_measure(standing(10.0), cfg).value == 20.0
+        assert ultrasonic_measure(standing(10.0), cfg) == 20.0
 
     def test_fallen_person_only_blocks_floor_sensor(self):
         fallen = EnvironmentState(person_pose=PersonPose.FALLEN, person_distance=50.0)
         us1, us2, us3 = default_ultrasonic_array()
-        assert ultrasonic_measure(fallen, us1).value == 600.0
-        assert ultrasonic_measure(fallen, us2).value == 600.0
-        assert ultrasonic_measure(fallen, us3).value == 50.0
+        assert ultrasonic_measure(fallen, us1) == 600.0
+        assert ultrasonic_measure(fallen, us2) == 600.0
+        assert ultrasonic_measure(fallen, us3) == 50.0
 
     def test_standing_person_blocks_all_three(self):
         for cfg in default_ultrasonic_array():
-            assert ultrasonic_measure(standing(80.0), cfg).value == 80.0
+            assert ultrasonic_measure(standing(80.0), cfg) == 80.0
 
     @given(
         distance=st.floats(min_value=0.0, max_value=600.0),
@@ -86,13 +83,13 @@ class TestUltrasonic:
             state = env()
         else:
             state = EnvironmentState(person_pose=pose, person_distance=distance)
-        reading = ultrasonic_measure(state, cfg, random.Random(seed))
-        assert cfg.min_range <= reading.value <= cfg.max_range
+        distance = ultrasonic_measure(state, cfg, random.Random(seed))
+        assert cfg.min_range <= distance <= cfg.max_range
 
     def test_noiseless_measure_is_pure(self):
         cfg = UltrasonicConfig("us-1", mount_height=150.0)
         state = standing(123.4)
-        assert ultrasonic_measure(state, cfg).value == ultrasonic_measure(state, cfg).value
+        assert ultrasonic_measure(state, cfg) == ultrasonic_measure(state, cfg)
 
     def test_fixed_seed_reading_sequence_is_identical(self):
         cfg = UltrasonicConfig("us-1", mount_height=150.0, noise_sigma=2.5)
@@ -100,7 +97,7 @@ class TestUltrasonic:
 
         def run(seed):
             rng = random.Random(seed)
-            return [ultrasonic_measure(standing(d), cfg, rng).value for d in distances]
+            return [ultrasonic_measure(standing(d), cfg, rng) for d in distances]
 
         assert run(7) == run(7)
         assert run(7) != run(8)  # the seed actually matters
@@ -127,15 +124,14 @@ class TestDht:
         ],
     )
     def test_integer_quantization(self, temp, humidity, expected):
-        reading = dht_measure(env(ambient_temp=temp, ambient_humidity=humidity))
-        assert reading.value == expected
+        assert dht_measure(env(ambient_temp=temp, ambient_humidity=humidity)) == expected
 
     @given(
         temp=st.floats(min_value=-40.0, max_value=80.0),
         humidity=st.floats(min_value=0.0, max_value=100.0),
     )
     def test_output_integer_and_within_half_unit(self, temp, humidity):
-        t, h = dht_measure(env(ambient_temp=temp, ambient_humidity=humidity)).value
+        t, h = dht_measure(env(ambient_temp=temp, ambient_humidity=humidity))
         assert isinstance(t, int) and isinstance(h, int)
         assert abs(t - temp) <= 0.5
         assert abs(h - humidity) <= 0.5

@@ -11,7 +11,6 @@ from showersim.telemetry.store import (
     NotFoundError,
     TelemetryStore,
     ValidationError,
-    recover,
 )
 
 KEY_RE = re.compile(r"^[A-Z0-9]{16}$")
@@ -210,7 +209,7 @@ class TestRecovery:
             first.write_update(ch.write_key, {1: i * 10}, float(i))
         first.close()
 
-        second = recover(data)
+        second = TelemetryStore(data)
         feed = second.read_feed(ch.channel_id, ch.read_key, 10)
         assert [e.values[1] for e in feed] == [0, 10, 20]
         # sequence continues where it left off
