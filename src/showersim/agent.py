@@ -66,6 +66,14 @@ DEFAULT_FIELD_MAP = {
 }
 
 
+def _split_server_url(base_url: str) -> tuple:
+    """(host, port, path) of a telemetry server URL, which must be http://host[:port]."""
+    url = urlsplit(base_url)
+    if url.scheme != "http" or not url.hostname:
+        raise ValueError(f"telemetry server URL must be http://host[:port], got {base_url!r}")
+    return url.hostname, url.port, url.path  # .port raises ValueError for a bad port
+
+
 @dataclass
 class AgentConfig:
     tick_s: float = 1.0
@@ -92,6 +100,8 @@ class AgentConfig:
             raise ValueError(f"unknown field map quantities: {sorted(unknown)}")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
+        if self.server_url:
+            _split_server_url(self.server_url)
 
 
 def render_status(
@@ -147,11 +157,9 @@ class TelemetryClient:
     """Posts channel updates over the wire protocol on one keep-alive connection."""
 
     def __init__(self, base_url: str, timeout_s: float = 5.0):
-        url = urlsplit(base_url)
-        if url.scheme != "http" or not url.hostname:
-            raise ValueError(f"telemetry server URL must be http://host[:port], got {base_url!r}")
-        self._conn = http.client.HTTPConnection(url.hostname, url.port, timeout=timeout_s)
-        self._path = url.path.rstrip("/") + "/update"
+        host, port, path = _split_server_url(base_url)
+        self._conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
+        self._path = path.rstrip("/") + "/update"
 
     def post_update(self, write_key: str, values: dict, created_at: float):
         """Returns (transport status line, entry id or None on transport failure)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, default_run_config, load_config
@@ -63,17 +64,15 @@ def _load(args):
 def _cmd_run(args) -> int:
     config = _load(args)
     events = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-    if args.server:
-        server_url = args.server
-    elif args.embedded_server:
-        server_url = None
-    else:
-        server_url = config.agent.server_url or None
-    write_key = config.agent.write_key or None
-    if server_url and not write_key:
+    if args.server or args.embedded_server:
+        try:
+            config.agent = replace(config.agent, server_url=args.server or "")
+        except ValueError as exc:
+            raise ConfigError(f"--server: {exc}") from None
+    if config.agent.server_url and not config.agent.write_key:
         raise ConfigError("posting to an external server requires write_key in the config file")
 
-    report = run_scenario(events, config, seed=args.seed, server_url=server_url, write_key=write_key)
+    report = run_scenario(events, config, seed=args.seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ CSV_COLUMNS = ("time_s", "distance_cm", "temp_c", "humidity_pct", "occupancy", "
 
 OCCUPIED_LABEL = "Shower space occupied"
 EMPTY_LABEL = "Shower space empty"
+_LABELS = {Occupancy.OCCUPIED: OCCUPIED_LABEL, Occupancy.EMPTY: EMPTY_LABEL}
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,12 @@ def _shower_channel(store: TelemetryStore, field_map: dict):
     return store.create_channel("shower", field_names, visibility="private")
 
 
-def run_scenario(
-    events,
-    config: Optional[RunConfig] = None,
-    seed: int = 0,
-    server_url: Optional[str] = None,
-    write_key: Optional[str] = None,
-) -> Report:
+def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> Report:
     """Step the clock from 0 to the end event, one agent tick per step.
 
     Events with `at <= t` are applied before the tick at t, so an event on a
-    tick boundary is visible to that tick. With no server_url the agent posts
+    tick boundary is visible to that tick. The agent posts to
+    `config.agent.server_url` with its `write_key` or, when the URL is empty,
     straight into a memory-only store holding one "shower" channel.
     """
     config = config or default_run_config()
@@ -79,15 +75,17 @@ def run_scenario(
     end_time = events[-1].at
     tick_count = int(math.floor(end_time / tick_s + 1e-9)) + 1
 
-    if server_url is None:
-        store = TelemetryStore()
-        write_key = _shower_channel(store, config.agent.field_map).write_key
-        client = StoreClient(store)
+    agent_cfg = config.agent
+    if agent_cfg.server_url:
+        client = TelemetryClient(agent_cfg.server_url)
     else:
-        client = TelemetryClient(server_url)
+        store = TelemetryStore()
+        channel = _shower_channel(store, agent_cfg.field_map)
+        agent_cfg = replace(agent_cfg, write_key=channel.write_key)
+        client = StoreClient(store)
     try:
         agent = DeviceAgent(
-            replace(config.agent, write_key=write_key or ""),
+            agent_cfg,
             controller_cfg=config.controller,
             safety_cfg=config.safety,
             sensor_cfgs=config.sensors,
@@ -120,6 +118,12 @@ def run_scenario(
             report.rows.append(row)
             if row.occupancy != prev_occupancy:
                 report.transitions.append((now, "occupancy", prev_occupancy, row.occupancy))
+            if row.occupancy != prev_occupancy or k == 0:
+                if report.intervals:
+                    report.intervals[-1] = replace(report.intervals[-1], end_s=now)
+                report.intervals.append(
+                    OccupancyInterval(now, None, _LABELS[result.occupancy], row.distance_cm)
+                )
             if row.mode != prev_mode:
                 report.transitions.append((now, "mode", prev_mode, row.mode))
             prev_occupancy, prev_mode = row.occupancy, row.mode
@@ -131,9 +135,6 @@ def run_scenario(
         report.posts_accepted = agent.posts_accepted
         report.posts_rejected = agent.posts_rejected
         report.posts_dropped = agent.posts_dropped
-        report.intervals = analyze_occupancy(
-            [(row.time_s, row.distance_cm) for row in report.rows], config.controller
-        )
         return report
     finally:
         client.close()
@@ -142,8 +143,10 @@ def run_scenario(
 def analyze_occupancy(series, cfg: ControllerConfig) -> list:
     """Maximal constant-occupancy intervals over a (time, distance) series.
 
-    Replays the controller's occupancy rule, so interval boundaries coincide
-    exactly with its transitions. The shower starts empty.
+    Replays the controller's occupancy rule on the distances it is given; the
+    shower starts empty. On a report.csv, whose `distance_cm` is rounded to
+    whole centimetres, a reading within 0.5 cm of a threshold can classify
+    differently from the run's own `occupancy` column.
     """
     intervals = []
     prev = Occupancy.EMPTY
@@ -153,8 +156,7 @@ def analyze_occupancy(series, cfg: ControllerConfig) -> list:
         if current is None or occupancy is not prev:
             if current is not None:
                 intervals.append(OccupancyInterval(current[0], timestamp, current[1], current[2]))
-            label = OCCUPIED_LABEL if occupancy is Occupancy.OCCUPIED else EMPTY_LABEL
-            current = (timestamp, label, distance)
+            current = (timestamp, _LABELS[occupancy], distance)
         prev = occupancy
     if current is not None:
         intervals.append(OccupancyInterval(current[0], None, current[1], current[2]))

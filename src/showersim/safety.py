@@ -97,20 +97,12 @@ def interpret_gesture(gesture: GestureCode) -> GestureMeaning:
 
 
 def check_prolonged_hot(
-    mode_history: Sequence[tuple[float, WaterMode]], now: float, cfg: SafetyConfig
+    hot_since: Optional[float], now: float, cfg: SafetyConfig
 ) -> Optional[Alert]:
-    """Alert when the current contiguous hot segment has run long enough.
-
-    Any interruption (a different mode between hot entries) resets the clock.
-    """
-    if not mode_history or mode_history[-1][1] is not WaterMode.HOT:
+    """Alert when hot water has run without a break since `hot_since`."""
+    if hot_since is None:
         return None
-    start = None
-    for timestamp, mode in reversed(mode_history):
-        if mode is not WaterMode.HOT:
-            break
-        start = timestamp
-    duration = now - start
+    duration = now - hot_since
     if duration >= cfg.prolonged_hot_s:
         return Alert(AlertKind.PROLONGED_HOT, now, f"hot water running for {duration:g} s")
     return None
@@ -148,7 +140,7 @@ class SafetyEngine:
         self._tick = -1
         self._fired: set[AlertKind] = set()
         self._help_pending = False
-        self._mode_history: list[tuple[float, WaterMode]] = []
+        self._hot_since: Optional[float] = None  # start of the current hot segment
         self._prev_occupancy = Occupancy.EMPTY
 
     @property
@@ -176,8 +168,10 @@ class SafetyEngine:
             self._help_pending = False
         self._prev_occupancy = controller_state.occupancy
 
-        if not self._mode_history or self._mode_history[-1][1] is not controller_state.mode:
-            self._mode_history.append((now, controller_state.mode))
+        if controller_state.mode is not WaterMode.HOT:
+            self._hot_since = None
+        elif self._hot_since is None:
+            self._hot_since = now
 
         self._sound_window.append(1 if sound_bit else 0)
         if detect_thud(self._sound_window, self.cfg):
@@ -198,34 +192,25 @@ class SafetyEngine:
             evidence = f"sensors 1-2 clear with sensor-3 obstacle for {self._geometry_streak} ticks"
             if self.cfg.require_thud:
                 evidence += f"; thud within the last {confirm} ticks"
-            self._emit(alerts, AlertKind.FALL, now, evidence)
+            self._emit(alerts, Alert(AlertKind.FALL, now, evidence))
 
         meaning = interpret_gesture(gesture) if gesture is not None else GestureMeaning.NONE
         if meaning is GestureMeaning.HELP:
-            if self._emit(alerts, AlertKind.HELP_GESTURE, now, f"gesture {gesture.value}"):
+            if self._emit(alerts, Alert(AlertKind.HELP_GESTURE, now, f"gesture {gesture.value}")):
                 self._help_pending = True
         elif meaning is GestureMeaning.OKAY and self._help_pending:
             self._help_pending = False
             commands.append("clear help")
 
-        if AlertKind.PROLONGED_HOT not in self._fired:
-            alert = check_prolonged_hot(self._mode_history, now, self.cfg)
-            if alert is not None:
-                alerts.append(alert)
-                self._fired.add(AlertKind.PROLONGED_HOT)
-                commands.append("water off")
-
-        if AlertKind.OCCUPANCY_TIMEOUT not in self._fired:
-            alert = check_occupancy_timeout(controller_state.occupied_since, now, self.cfg)
-            if alert is not None:
-                alerts.append(alert)
-                self._fired.add(AlertKind.OCCUPANCY_TIMEOUT)
-
+        if self._emit(alerts, check_prolonged_hot(self._hot_since, now, self.cfg)):
+            commands.append("water off")
+        self._emit(alerts, check_occupancy_timeout(controller_state.occupied_since, now, self.cfg))
         return alerts, commands
 
-    def _emit(self, alerts: list[Alert], kind: AlertKind, now: float, evidence: str) -> bool:
-        if kind in self._fired:
+    def _emit(self, alerts: list[Alert], alert: Optional[Alert]) -> bool:
+        """Record the alert unless its kind already fired this episode."""
+        if alert is None or alert.kind in self._fired:
             return False
-        self._fired.add(kind)
-        alerts.append(Alert(kind, now, evidence))
+        self._fired.add(alert.kind)
+        alerts.append(alert)
         return True

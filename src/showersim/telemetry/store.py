@@ -269,10 +269,9 @@ class TelemetryStore:
         if not 1 <= field_position <= len(channel.field_names):
             raise ValidationError(f"field position {field_position} outside the channel schema")
         with channel.lock:
-            snapshot = list(channel.entries)
-        for entry in reversed(snapshot):
-            if field_position in entry.values:
-                return entry.values[field_position]
+            for entry in reversed(channel.entries):
+                if field_position in entry.values:
+                    return entry.values[field_position]
         return None
 
     def _readable_channel(

@@ -3,6 +3,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from showersim.cli import main
 
 from conftest import scenario_path
@@ -128,6 +130,33 @@ class TestRun:
         assert code == 0
         csv_lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert csv_lines[1].endswith(",1")  # posts landed on the embedded server
+
+    def test_config_server_url_not_http_is_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "server.conf"
+        conf.write_text("server_url = https://127.0.0.1:1/\nwrite_key = ABCDEFGH12345678\n")
+        code = run_cli(
+            "run", scenario_path("approach.scn"), "--config", conf, "--out", tmp_path / "out"
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(conf) in err
+
+    @pytest.mark.parametrize("url", ["localhost:8266", "http://127.0.0.1:port/"])
+    def test_malformed_server_flag_is_config_error(self, tmp_path, capsys, url):
+        conf = tmp_path / "server.conf"
+        conf.write_text("write_key = ABCDEFGH12345678\n")
+        code = run_cli(
+            "run",
+            scenario_path("approach.scn"),
+            "--config",
+            conf,
+            "--server",
+            url,
+            "--out",
+            tmp_path / "out",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --server: ")
 
     def test_determinism_byte_identical(self, tmp_path):
         outs = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import requests
 
 from showersim.config import default_run_config, load_config, parse_config
@@ -12,15 +14,19 @@ from conftest import scenario_path
 from test_acceptance import GOLDEN_SCENARIOS
 
 
+def posting_to(server, channel, config):
+    """The run config with its agent posting to the server's channel."""
+    agent = replace(config.agent, server_url=server.url, write_key=channel.write_key)
+    return replace(config, agent=agent)
+
+
 def run_with_feed(server, name, conf=None, seed=0):
     """Run a golden scenario against a simulation-time HTTP server's "shower" channel."""
     events = parse_scenario(scenario_path(name).read_text())
     config = load_config(scenario_path(conf)) if conf else default_run_config()
     field_map = config.agent.field_map
     channel = server.store.create_channel("shower", [field_map[pos] for pos in sorted(field_map)])
-    report = run_scenario(
-        events, config, seed=seed, server_url=server.url, write_key=channel.write_key
-    )
+    report = run_scenario(events, posting_to(server, channel, config), seed=seed)
     feeds = requests.get(
         server.url + f"/channels/{channel.channel_id}/feeds.json",
         params={"api_key": channel.read_key, "results": 10_000},
@@ -100,9 +106,7 @@ def test_default_run_matches_http_run_byte_for_byte(tmp_path, sim_server):
         )
         reports = {
             "direct": run_scenario(events, config, seed=5),
-            "http": run_scenario(
-                events, config, seed=5, server_url=sim_server.url, write_key=channel.write_key
-            ),
+            "http": run_scenario(events, posting_to(sim_server, channel, config), seed=5),
         }
         emitted = {}
         for label, report in reports.items():

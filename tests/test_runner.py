@@ -20,6 +20,7 @@ from showersim.scenario import parse_scenario
 from showersim.telemetry.server import TelemetryHTTPServer
 
 from conftest import scenario_path
+from test_acceptance import GOLDEN_SCENARIOS
 
 DEFAULTS = ControllerConfig()
 
@@ -175,6 +176,33 @@ class TestOccupancyTrace30s:
             (EMPTY_LABEL, 74),
         ]
         assert report.intervals[0].end_s == 60.0
+
+
+class TestRunIntervals:
+    def test_intervals_follow_the_run_not_the_rounded_distance(self):
+        # 59.6 cm is occupied to the controller but rounds to 60 in the rows,
+        # which the occupancy rule alone would call empty
+        events = parse_scenario(
+            "at 0 env temp=20\nat 2 person enter distance=59.6\nat 6 person leave\nat 9 end\n"
+        )
+        report = run_scenario(events)
+        occupancy = [row.occupancy for row in report.rows]
+        assert occupancy == ["empty"] * 2 + ["occupied"] * 4 + ["empty"] * 4
+        assert {row.distance_cm for row in report.rows[2:6]} == {60}
+        assert [(iv.start_s, iv.end_s, iv.label) for iv in report.intervals] == [
+            (0.0, 2.0, EMPTY_LABEL),
+            (2.0, 6.0, OCCUPIED_LABEL),
+            (6.0, None, EMPTY_LABEL),
+        ]
+        assert report.intervals[1].entry_distance == 60
+
+    @pytest.mark.parametrize("name,conf", GOLDEN_SCENARIOS)
+    def test_intervals_start_at_occupancy_transitions(self, name, conf):
+        report = run_file(name, conf=conf)
+        changes = [t for t, what, _, _ in report.transitions if what == "occupancy"]
+        starts = [iv.start_s for iv in report.intervals]
+        assert starts[0] == 0.0
+        assert starts[1:] == [t for t in changes if t > 0]
 
 
 class TestEmitReport:

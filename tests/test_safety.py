@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from showersim.controller import ControllerState, Occupancy, WaterMode
 from showersim.safety import (
@@ -112,32 +113,55 @@ class TestGestureMapping:
 
 class TestProlongedHot:
     def test_long_segment_alerts(self):
-        alert = check_prolonged_hot([(0.0, WaterMode.HOT)], 1300.0, CFG)
+        alert = check_prolonged_hot(0.0, 1300.0, CFG)
         assert alert is not None and alert.kind is AlertKind.PROLONGED_HOT
 
     def test_short_segment_quiet(self):
-        assert check_prolonged_hot([(0.0, WaterMode.HOT)], 600.0, CFG) is None
-
-    def test_interruption_resets_the_clock(self):
-        history = [(0.0, WaterMode.HOT), (700.0, WaterMode.NORMAL), (760.0, WaterMode.HOT)]
-        now = 1460.0
-        assert check_prolonged_hot(history, now, CFG) is None
-        # oracle agreement: the newest contiguous segment is the one that counts
-        segments = hot_segments(history, now)
-        assert segments[-1] == (760.0, 1460.0)
-        assert (segments[-1][1] - segments[-1][0]) < CFG.prolonged_hot_s
-
-    def test_agrees_with_segment_oracle_when_firing(self):
-        history = [(0.0, WaterMode.COLD), (100.0, WaterMode.HOT)]
-        now = 1300.0
-        alert = check_prolonged_hot(history, now, CFG)
-        segments = hot_segments(history, now)
-        assert (segments[-1][1] - segments[-1][0]) >= CFG.prolonged_hot_s
-        assert alert is not None
+        assert check_prolonged_hot(0.0, 600.0, CFG) is None
 
     def test_not_hot_right_now(self):
-        history = [(0.0, WaterMode.HOT), (1300.0, WaterMode.OFF)]
-        assert check_prolonged_hot(history, 2000.0, CFG) is None
+        assert check_prolonged_hot(None, 2000.0, CFG) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        limit=st.integers(min_value=1, max_value=8),
+        schedule=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from(list(WaterMode))),
+            max_size=40,
+        ),
+    )
+    def test_engine_agrees_with_segment_oracle(self, limit, schedule):
+        """The alert and its "water off" land on exactly the first tick of an
+        episode where the newest hot segment reaches the limit, and only then.
+
+        Each schedule step is (seconds since the previous tick, water mode);
+        OFF means the shower is empty, so an episode is a run of other modes.
+        """
+        engine = SafetyEngine(SafetyConfig(prolonged_hot_s=limit))
+        history = []  # (time, mode) at each mode change: hot_segments' input
+        fired = False
+        since = None
+        now = 0.0
+        for step, mode in schedule:
+            now += step
+            if mode is WaterMode.OFF:
+                state, since = empty_state(), None
+            else:
+                if since is None:
+                    since, fired = now, False  # entry opens a new episode
+                state = occupied_state(since=since, mode=mode)
+            if not history or history[-1][1] is not mode:
+                history.append((now, mode))
+            start, end = (hot_segments(history, now) or [(now, now)])[-1]
+            expected = mode is WaterMode.HOT and end - start >= limit and not fired
+            fired = fired or expected
+
+            alerts, commands = engine.fuse_tick((OCC, OCC, OCC), 0, None, state, now)
+            hot = [a for a in alerts if a.kind is AlertKind.PROLONGED_HOT]
+            assert len(hot) == int(expected), (now, history)
+            assert ("water off" in commands) == expected
+            if expected:
+                assert hot[0].timestamp == now
 
 
 class TestOccupancyTimeout:
