@@ -52,6 +52,18 @@ def hot_segments(history, now):
     return segments
 
 
+def prolonged_hot_alerts_at(history, now):
+    """Tick an engine through each mode change of an occupied shower, then
+    once more at `now` in the last mode; the prolonged-hot alerts of that tick."""
+    engine = SafetyEngine(CFG)
+    ticks = history + [(now, history[-1][1])]
+    for ts, mode in ticks:
+        alerts, _ = engine.fuse_tick(
+            (OCC, OCC, OCC), 0, None, ControllerState(OCC, mode, 20.0, 0.0), ts
+        )
+    return [a for a in alerts if a.kind is AlertKind.PROLONGED_HOT]
+
+
 class TestFallGeometry:
     def test_fall_signature(self):
         assert detect_fall_geometry(EMP, EMP, OCC) is True
@@ -118,6 +130,23 @@ class TestProlongedHot:
 
     def test_short_segment_quiet(self):
         assert check_prolonged_hot(0.0, 600.0, CFG) is None
+
+    def test_interruption_resets_the_clock(self):
+        history = [(0.0, WaterMode.HOT), (700.0, WaterMode.NORMAL), (760.0, WaterMode.HOT)]
+        now = 1460.0
+        assert prolonged_hot_alerts_at(history, now) == []
+        # oracle agreement: the newest contiguous segment is the one that counts
+        segments = hot_segments(history, now)
+        assert segments[-1] == (760.0, 1460.0)
+        assert (segments[-1][1] - segments[-1][0]) < CFG.prolonged_hot_s
+
+    def test_agrees_with_segment_oracle_when_firing(self):
+        history = [(0.0, WaterMode.COLD), (100.0, WaterMode.HOT)]
+        now = 1300.0
+        alerts = prolonged_hot_alerts_at(history, now)
+        segments = hot_segments(history, now)
+        assert (segments[-1][1] - segments[-1][0]) >= CFG.prolonged_hot_s
+        assert len(alerts) == 1 and alerts[0].timestamp == now
 
     def test_not_hot_right_now(self):
         assert check_prolonged_hot(None, 2000.0, CFG) is None
