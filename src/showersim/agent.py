@@ -37,6 +37,7 @@ from .sensors import (
 from .telemetry.store import (
     AuthenticationError,
     NotFoundError,
+    StoreClosedError,
     TelemetryError,
     TelemetryStore,
     ValidationError,
@@ -135,6 +136,7 @@ _REJECTED_STATUS = {
     AuthenticationError: "401 Unauthorized",
     ValidationError: "400 Bad Request",
     NotFoundError: "404 Not Found",
+    StoreClosedError: "503 Service Unavailable",
 }
 
 
@@ -266,6 +268,7 @@ class DeviceAgent:
         self.posts_accepted = 0
         self.posts_rejected = 0
         self.posts_dropped = 0
+        self.posts_refused = 0
         self.last_status = "no transport"
         self._humidity_flag = False
 
@@ -341,9 +344,11 @@ class DeviceAgent:
     def _post(self, payload: dict, now: float) -> int:
         """Queue this tick's payload, then post the queue oldest first.
 
-        Posting stops at the first transport failure, which leaves the rest
-        queued (bounded, oldest dropped first). Returns this tick's entry id,
-        0 if it was rate-limited or is still queued.
+        A 4xx answer is final: the post is counted as refused and dropped
+        from the queue. Posting stops at any other failure (unreachable, 5xx),
+        which leaves the rest queued (bounded, oldest dropped first). Returns
+        this tick's entry id, 0 if it was rate-limited, refused or is still
+        queued.
         """
         if len(self.queue) >= self.cfg.queue_limit:
             self.queue.popleft()
@@ -358,10 +363,13 @@ class DeviceAgent:
             self.last_status, entry_id = self.client.post_update(
                 self.cfg.write_key, head_payload, head_time
             )
-            if entry_id is None:
-                return 0
+            if entry_id is None and not self.last_status.startswith("4"):
+                return 0  # unreachable or 5xx: the post may be taken later
             self.queue.popleft()
-            if entry_id > 0:
+            if entry_id is None:  # 4xx: the server will never take this post
+                self.posts_refused += 1
+                entry_id = 0
+            elif entry_id > 0:
                 self.posts_accepted += 1
             else:
                 self.posts_rejected += 1

@@ -85,7 +85,7 @@ def _cmd_run(args) -> int:
     print(
         f"{len(report.rows)} ticks, {report.posts_accepted} accepted posts, "
         f"{report.posts_rejected} rejected, {report.posts_dropped} dropped, "
-        f"{len(report.alerts)} alerts -> {out_dir}"
+        f"{report.posts_refused} refused, {len(report.alerts)} alerts -> {out_dir}"
     )
     return 0
 

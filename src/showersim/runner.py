@@ -52,6 +52,7 @@ class Report:
     posts_accepted: int = 0
     posts_rejected: int = 0  # answered with entry id 0 (rate-limited)
     posts_dropped: int = 0
+    posts_refused: int = 0  # answered 4xx: the server will never take them
 
 
 def _shower_channel(store: TelemetryStore, field_map: dict):
@@ -135,6 +136,7 @@ def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> R
         report.posts_accepted = agent.posts_accepted
         report.posts_rejected = agent.posts_rejected
         report.posts_dropped = agent.posts_dropped
+        report.posts_refused = agent.posts_refused
         return report
     finally:
         client.close()

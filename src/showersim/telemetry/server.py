@@ -7,8 +7,9 @@ Endpoints:
   GET  /channels/<id>/fields/<k>/last.txt        newest value of one field
 
 In simulation mode (--sim-time) the server trusts the client-supplied
-created_at so replays are deterministic; otherwise it stamps entries with
-its own clock.
+created_at so replays are deterministic, and an update without one is
+refused with 400; otherwise it stamps entries with its own clock. A write
+that reaches a closed store is answered 503.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .store import (
     MAX_FIELDS,
     AuthenticationError,
     NotFoundError,
+    StoreClosedError,
     TelemetryStore,
     ValidationError,
 )
@@ -118,6 +120,8 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             self._send_text(404, str(exc))
         except ValidationError as exc:
             self._send_text(400, str(exc))
+        except StoreClosedError as exc:
+            self._send_text(503, str(exc))
 
     # -- routes --------------------------------------------------------------
 
@@ -154,7 +158,9 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             if raw is not None:
                 values[pos] = _coerce(raw)
         if self.server.sim_time:
-            raw_created = self._first(params, "created_at", "0")
+            raw_created = self._first(params, "created_at")
+            if raw_created is None:
+                raise ValidationError("created_at is required in simulation-time mode")
             try:
                 created_at = float(raw_created)
             except ValueError:

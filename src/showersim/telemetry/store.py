@@ -7,8 +7,12 @@ channel's minimum post interval are rejected with 0 and store nothing.
 
 On disk each channel appends one complete JSON record per line to its own
 log file, with channel metadata appended to channels.jsonl. Recovery replays
-the logs; a torn trailing record (a crashed writer) is truncated away with a
-warning so the feed is always a prefix of what was acknowledged.
+each log in one pass over its decoded text, building entries as it scans.
+The first record that is torn, is not JSON, or breaks an invariant the write
+path keeps (the next entry id, a finite non-decreasing created_at, field
+positions inside the schema, finite float values) marks a crashed writer:
+the log is truncated there with a warning, so the feed is always a prefix of
+what was acknowledged. close() is final: later writes raise StoreClosedError.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +55,11 @@ class ValidationError(TelemetryError):
     pass
 
 
-@dataclass(frozen=True)
-class Entry:
+class StoreClosedError(TelemetryError):
+    """The store was closed; it takes no more writes."""
+
+
+class Entry(NamedTuple):
     entry_id: int
     created_at: float
     values: dict  # field position (1-based) -> numeric or text value
@@ -97,31 +104,90 @@ class Channel:
         )
 
 
-def _read_records(path: Path) -> list:
-    """Parse JSON-line records, truncating the file at the first bad record."""
-    if not path.exists():
-        return []
-    raw = path.read_bytes()
-    records = []
-    good_end = 0
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+# The C scanner behind json.loads, run in place on the log text. NaN and
+# Infinity, which json.dumps would write but no write path accepts, fail it.
+_scan_record = json.JSONDecoder(parse_constant=_refuse_constant).scan_once
+
+
+def _replay_log(path: Path, accept) -> None:
+    """Hand each record of a JSON-lines log to `accept`, oldest first.
+
+    The first record that is torn, is not one JSON value ending its line, or
+    that `accept` refuses by raising KeyError, TypeError or ValueError marks
+    the torn point: the file is truncated there with a warning, so what stays
+    is a prefix of what was written.
+    """
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return
+    reason = None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Scan what decodes; the line holding the bad byte is the torn point.
+        text = raw[: exc.start].decode("utf-8")
+        reason = "not UTF-8"
+    del raw  # the scan needs only the text; free the bytes before entries pile up
     pos = 0
-    while pos < len(raw):
-        newline = raw.find(b"\n", pos)
-        if newline == -1:
-            break  # unterminated trailer
-        try:
-            records.append(json.loads(raw[pos:newline].decode("utf-8")))
-        except (ValueError, UnicodeDecodeError):
-            break
-        pos = newline + 1
-        good_end = pos
-    if good_end < len(raw):
-        logger.warning(
-            "truncating %s at byte %d: torn trailing record dropped", path, good_end
-        )
-        with path.open("r+b") as fh:
-            fh.truncate(good_end)
-    return records
+    try:
+        while pos < len(text):
+            record, end = _scan_record(text, pos)
+            if not text.startswith("\n", end):
+                raise ValueError("record does not end its line")
+            accept(record)
+            pos = end + 1
+    except StopIteration:
+        reason = "no JSON value"
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = repr(exc)
+    if reason is None:
+        return
+    good_end = len(text[:pos].encode("utf-8"))
+    logger.warning(
+        "truncating %s at byte %d: bad record (%s) and all after it dropped",
+        path,
+        good_end,
+        reason,
+    )
+    with path.open("r+b") as fh:
+        fh.truncate(good_end)
+
+
+def _entry_loader(channel: "Channel"):
+    """The `accept` that appends one channel's log records to its entries."""
+    positions = {str(pos): pos for pos in range(1, len(channel.field_names) + 1)}
+    entries = channel.entries
+    append = entries.append
+    isfinite = math.isfinite
+
+    def accept(record) -> None:
+        if type(record) is not dict:
+            raise TypeError("record is not an object")
+        entry_id = record["entry_id"]
+        created_at = record["created_at"]
+        raw_values = record["values"]
+        if type(entry_id) is not int or entry_id != len(entries) + 1:
+            raise ValueError(f"entry_id {entry_id!r} where {len(entries) + 1} is next")
+        if (
+            type(created_at) is not float
+            or not isfinite(created_at)
+            or (entries and created_at < entries[-1].created_at)
+        ):
+            raise ValueError(f"created_at {created_at!r} is not finite and non-decreasing")
+        if type(raw_values) is not dict or not raw_values:
+            raise ValueError("values is not a non-empty object")
+        values = {positions[pos]: value for pos, value in raw_values.items()}
+        for value in values.values():
+            if type(value) is float and not isfinite(value):
+                raise ValueError("a float value is not finite")
+        append(Entry(entry_id, created_at, values))
+
+    return accept
 
 
 class TelemetryStore:
@@ -139,6 +205,7 @@ class TelemetryStore:
         self._by_write_key: dict = {}
         self._used_keys: set = set()
         self._files: dict = {}
+        self._closed = False
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
             self._replay()
@@ -146,15 +213,9 @@ class TelemetryStore:
     # -- construction / recovery -------------------------------------------
 
     def _replay(self) -> None:
-        for meta in _read_records(self._dir / _META_FILE):
-            channel = Channel.from_meta(meta)
-            self._register(channel)
+        _replay_log(self._dir / _META_FILE, lambda meta: self._register(Channel.from_meta(meta)))
         for channel in self._channels.values():
-            for record in _read_records(self._entry_log_path(channel.channel_id)):
-                values = {int(pos): val for pos, val in record["values"].items()}
-                channel.entries.append(
-                    Entry(int(record["entry_id"]), float(record["created_at"]), values)
-                )
+            _replay_log(self._entry_log_path(channel.channel_id), _entry_loader(channel))
 
     def _register(self, channel: Channel) -> None:
         self._channels[channel.channel_id] = channel
@@ -182,6 +243,7 @@ class TelemetryStore:
         if min_post_interval_s < 0:
             raise ValidationError("min_post_interval_s must be >= 0")
         with self._lock:
+            self._check_open()
             channel_id = max(self._channels, default=0) + 1
             channel = Channel(
                 channel_id=channel_id,
@@ -224,7 +286,8 @@ class TelemetryStore:
         With created_at=None the entry is stamped with the store clock at
         commit time, under the channel lock, so concurrent writers can never
         produce out-of-order timestamps. A NaN or infinite created_at or float
-        value raises ValidationError and stores nothing.
+        value raises ValidationError, and a write after close() raises
+        StoreClosedError; neither stores anything.
         """
         channel = self._by_write_key.get(write_key)
         if channel is None:
@@ -241,6 +304,7 @@ class TelemetryStore:
             if not math.isfinite(created_at):
                 raise ValidationError("created_at must be finite")
         with channel.lock:
+            self._check_open()
             stamp = time.time() if created_at is None else created_at
             if channel.entries:
                 earliest = channel.entries[-1].created_at + channel.min_post_interval_s
@@ -313,7 +377,21 @@ class TelemetryStore:
         fh.write(json.dumps(record).encode("utf-8") + b"\n")
         fh.flush()
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StoreClosedError("the store is closed")
+
     def close(self) -> None:
-        for fh in self._files.values():
-            fh.close()
-        self._files.clear()
+        """Close the logs; every later write raises StoreClosedError.
+
+        Each log is closed under its channel's lock, so an append that has
+        begun completes first.
+        """
+        with self._lock:
+            self._closed = True
+            channels = list(self._channels.values())
+        for channel in channels:
+            with channel.lock:
+                fh = self._files.pop(channel.channel_id, None)
+                if fh is not None:
+                    fh.close()

@@ -198,6 +198,62 @@ class TestBacklog:
         assert agent.posts_rejected > 0 and not agent.queue
 
 
+class TestRefusedPosts:
+    """A 4xx answer is final; only an unreachable server or a 5xx keeps a post queued."""
+
+    FIVE_FIELDS = ["distance_cm", "temperature_c", "humidity_pct", "mode_code", "alert_code"]
+
+    @pytest.mark.parametrize(
+        "fields, key",
+        [(FIVE_FIELDS[:3], "right"), (FIVE_FIELDS, "wrong")],
+        ids=["3-field-channel", "wrong-write-key"],
+    )
+    def test_refused_posts_do_not_block_the_queue(self, fields, key):
+        store = TelemetryStore()
+        ch = store.create_channel("shower", fields)
+        write_key = ch.write_key if key == "right" else "WRONGKEY00000000"
+        cfg = AgentConfig(write_key=write_key, queue_limit=5)
+        agent = DeviceAgent(cfg, client=StoreClient(store))
+        for k in range(8):
+            result = agent.tick(env_absent(), float(k))
+            assert result.entry_id == 0
+            assert result.transport_status in {"400 Bad Request", "401 Unauthorized"}
+            settled = (
+                agent.posts_accepted
+                + agent.posts_rejected
+                + agent.posts_refused
+                + agent.posts_dropped
+            )
+            assert agent.posts_attempted == k + 1 == settled + len(agent.queue)
+        assert agent.posts_refused == 8
+        assert (agent.posts_accepted, agent.posts_dropped, len(agent.queue)) == (0, 0, 0)
+
+    def test_refused_post_does_not_hold_up_the_next(self):
+        class RefuseFirst(StoreClient):
+            refused = False
+
+            def post_update(self, write_key, values, created_at):
+                if not self.refused:
+                    self.refused = True
+                    return "404 Not Found", None
+                return super().post_update(write_key, values, created_at)
+
+        store = TelemetryStore()
+        ch = store.create_channel("shower", self.FIVE_FIELDS)
+        agent = DeviceAgent(AgentConfig(write_key=ch.write_key), client=RefuseFirst(store))
+        assert [agent.tick(env_absent(), float(k)).entry_id for k in range(3)] == [0, 1, 2]
+        assert (agent.posts_refused, agent.posts_accepted) == (1, 2)
+
+    def test_closed_store_keeps_posts_queued(self):
+        store = TelemetryStore()
+        ch = store.create_channel("shower", self.FIVE_FIELDS)
+        store.close()
+        agent = DeviceAgent(AgentConfig(write_key=ch.write_key), client=StoreClient(store))
+        for k in range(3):
+            assert agent.tick(env_absent(), float(k)).transport_status == "503 Service Unavailable"
+        assert (agent.posts_refused, len(agent.queue)) == (0, 3)
+
+
 def count_connections(server):
     """Count the connections the server accepts from now on."""
     accepted = []
@@ -271,6 +327,18 @@ class TestTelemetryClient:
             direct.post_update("WRONGKEY00000000", {1: 1}, 0.0)[0],
             direct.post_update(ch.write_key, {4: 1}, 0.0)[0],
         ] == ["401 Unauthorized", "400 Bad Request"]
+
+    def test_both_clients_answer_503_after_close(self, sim_server):
+        ch = sim_server.store.create_channel("closing", ["a"])
+        http_client = TelemetryClient(sim_server.url)
+        direct = StoreClient(sim_server.store)
+        sim_server.store.close()
+        try:
+            answer = direct.post_update(ch.write_key, {1: 1}, 0.0)
+            assert answer == http_client.post_update(ch.write_key, {1: 1}, 0.0)
+            assert answer == ("503 Service Unavailable", None)
+        finally:
+            http_client.close()
 
 
 class TestAgentConfig:

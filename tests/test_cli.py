@@ -85,6 +85,24 @@ class TestRun:
         feed = sim_server.store.read_feed(ch.channel_id, ch.read_key, 100)
         assert len(feed) == 21
 
+    def test_refused_posts_are_counted(self, tmp_path, sim_server, capsys):
+        sim_server.store.create_channel("shower", ["distance_cm"])
+        conf = tmp_path / "server.conf"
+        conf.write_text("write_key = WRONGKEY00000000\n")
+        code = run_cli(
+            "run",
+            scenario_path("approach.scn"),
+            "--config",
+            conf,
+            "--server",
+            sim_server.url,
+            "--out",
+            tmp_path / "out",
+        )
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("21 ticks, 0 accepted posts, 0 rejected, 0 dropped, 21 refused, ")
+
     def test_server_without_key_is_config_error(self, tmp_path, capsys):
         code = run_cli(
             "run",

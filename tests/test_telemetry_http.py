@@ -74,6 +74,23 @@ class TestUpdateEndpoint:
         response = post_update(sim_server, ch["write_key"], {5: 1}, 0.0)
         assert response.status_code == 400
 
+    def test_missing_created_at_in_sim_time_is_400(self, sim_server):
+        ch = create_channel(sim_server)
+        response = post_update(sim_server, ch["write_key"], {1: 1})
+        assert response.status_code == 400
+        assert "created_at" in response.text
+        assert post_update(sim_server, ch["write_key"], {1: 2}, 5.0).text == "1"
+        stored = sim_server.store.read_feed(ch["channel_id"], ch["read_key"], 10)
+        assert [(e.created_at, e.values) for e in stored] == [(5.0, {1: 2})]
+
+    def test_write_to_a_closed_store_is_503(self, sim_server):
+        ch = create_channel(sim_server)
+        assert post_update(sim_server, ch["write_key"], {1: 1}, 0.0).text == "1"
+        sim_server.store.close()
+        response = post_update(sim_server, ch["write_key"], {1: 2}, 1.0)
+        assert response.status_code == 503
+        assert len(sim_server.store.read_feed(ch["channel_id"], ch["read_key"], 10)) == 1
+
     def test_wall_clock_mode_ignores_client_created_at(self, wall_server):
         ch = create_channel(wall_server, min_post_interval_s=0)
         post_update(wall_server, ch["write_key"], {1: 1}, 12345.0)

@@ -1,17 +1,30 @@
 from __future__ import annotations
 
+import logging
 import random
 import re
+import shutil
+import sys
+import tempfile
 import threading
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from showersim.telemetry.store import (
     AuthenticationError,
+    Entry,
     NotFoundError,
+    StoreClosedError,
     TelemetryStore,
     ValidationError,
 )
+
+from conftest import TESTS_DIR
 
 KEY_RE = re.compile(r"^[A-Z0-9]{16}$")
 
@@ -321,3 +334,321 @@ class TestConcurrency:
         assert accepted == list(range(1, len(accepted) + 1))
         feed = store.read_feed(ch.channel_id, ch.read_key, 10_000)
         assert [e.entry_id for e in feed] == accepted
+
+
+def one_entry_store(tmp_path):
+    """A data dir holding a 1-field channel with entry 1 (value 1 at 0.0)."""
+    data = tmp_path / "data"
+    first = TelemetryStore(data)
+    ch = first.create_channel("shower", ["distance"])
+    first.write_update(ch.write_key, {1: 1}, 0.0)
+    first.close()
+    return data, ch, data / f"channel-{ch.channel_id}.log"
+
+
+class TestReplayInvariants:
+    """Replay treats a record that breaks a write-path invariant as the torn point."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b"[]",
+            b'{"entry_id": 2}',
+            b'{"entry_id": 7, "created_at": 1.0, "values": {"1": 7}}',
+            b'{"entry_id": 2, "created_at": NaN, "values": {"1": 2}}',
+            b'{"entry_id": 2, "created_at": -5.0, "values": {"1": 2}}',
+            b'{"entry_id": 2, "created_at": 1.0, "values": {"9": 2}}',
+            b'{"entry_id": 2, "created_at": 1.0, "values": {"1": 1e999}}',
+        ],
+        ids=[
+            "not-an-object",
+            "missing-keys",
+            "id-gap",
+            "nan-created-at",
+            "created-at-goes-back",
+            "position-outside-schema",
+            "infinite-value",
+        ],
+    )
+    def test_bad_record_is_truncated(self, tmp_path, caplog, record):
+        data, ch, log = one_entry_store(tmp_path)
+        whole = log.read_bytes()
+        good = b'{"entry_id": 2, "created_at": 3.0, "values": {"1": 3}}\n'
+        with log.open("ab") as fh:
+            fh.write(record + b"\n" + good)  # nothing after the bad record survives
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            second = TelemetryStore(data)
+        try:
+            assert second.read_feed(ch.channel_id, ch.read_key, 10) == [Entry(1, 0.0, {1: 1})]
+            assert log.read_bytes() == whole
+            assert any("truncating" in r.getMessage() for r in caplog.records)
+            assert second.write_update(ch.write_key, {1: 2}, 2.0) == 2
+        finally:
+            second.close()
+
+    @pytest.mark.parametrize("tail", ["cut", "rest-of-log"])
+    def test_multibyte_character_torn_mid_sequence(self, tmp_path, tail):
+        data, ch, log = one_entry_store(tmp_path)
+        whole = log.read_bytes()
+        line = '{"entry_id": 2, "created_at": 1.0, "values": {"1": "温度"}}\n'.encode("utf-8")
+        log.write_bytes(whole + line)
+        intact = TelemetryStore(data)  # raw UTF-8 text is a valid record
+        assert intact.read_feed(ch.channel_id, ch.read_key, 10)[-1] == Entry(2, 1.0, {1: "温度"})
+        intact.close()
+
+        cut = len(whole) + line.index("温".encode("utf-8")) + 1  # inside the 3-byte sequence
+        torn = (whole + line)[:cut]
+        if tail == "rest-of-log":
+            torn += line[line.index(b'"}}'):] + line.replace(b'"entry_id": 2', b'"entry_id": 3')
+        log.write_bytes(torn)
+        second = TelemetryStore(data)
+        try:
+            assert second.read_feed(ch.channel_id, ch.read_key, 10) == [Entry(1, 0.0, {1: 1})]
+            assert log.read_bytes() == whole
+        finally:
+            second.close()
+
+
+FIXTURE_DIR = TESTS_DIR / "data" / "store-v1"
+# (channel id, created_at, values) in the order the fixture was written.
+FIXTURE_WRITES = [
+    (1, 0.0, {1: 140, 2: 23, 3: "dry"}),
+    (2, 0.0, {1: 15, 2: "bath"}),
+    (1, 1.0, {1: 59.5, 2: 24.25}),
+    (2, 0.5, {1: 15.5}),
+    (1, 2.5, {3: "wet floor, café"}),
+    (1, 4.0, {1: 16, 2: 22.0, 3: "help"}),
+    (2, 100.25, {2: "night"}),
+]
+
+
+class TestFormatCompat:
+    """tests/data/store-v1 was written by the store before replay became one
+    pass: two channels with int, float and text values, and a torn record
+    (a crashed writer) appended to channel 1's log by hand."""
+
+    def load(self, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(FIXTURE_DIR, data)
+        return data, TelemetryStore(data)
+
+    def test_loads_to_the_exact_feed_and_drops_the_torn_tail(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            data, store = self.load(tmp_path)
+        try:
+            expected = {1: [], 2: []}
+            for channel_id, created_at, values in FIXTURE_WRITES:
+                entries = expected[channel_id]
+                entries.append(Entry(len(entries) + 1, created_at, values))
+            for channel_id, entries in expected.items():
+                ch = store.channel(channel_id)
+                # repr tells 22.0 from 22
+                assert repr(store.read_feed(channel_id, ch.read_key, 10)) == repr(entries)
+            assert store.channel(2).shared_with == ["grandma"]
+            assert store.channel(2).min_post_interval_s == 0.5
+
+            torn = (FIXTURE_DIR / "channel-1.log").read_bytes()
+            whole_end = torn.rindex(b"\n") + 1
+            assert whole_end < len(torn)
+            assert (data / "channel-1.log").read_bytes() == torn[:whole_end]
+            assert (data / "channel-2.log").read_bytes() == (FIXTURE_DIR / "channel-2.log").read_bytes()
+            assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+                f"truncating {data / 'channel-1.log'} at byte {whole_end}"
+            ]
+            assert store.write_update(store.channel(1).write_key, {1: 1}, 5.0) == 5
+        finally:
+            store.close()
+
+    def test_same_writes_give_the_same_bytes(self, tmp_path):
+        data, old = self.load(tmp_path)
+        old.close()
+        fresh_dir = tmp_path / "fresh"
+        fresh = TelemetryStore(fresh_dir)
+        channels = {
+            1: fresh.create_channel("shower", ["distance_cm", "temperature_c", "note"]),
+            2: fresh.create_channel(
+                "room",
+                ["humidity_pct", "label"],
+                visibility="shared",
+                shared_with=["grandma"],
+                min_post_interval_s=0.5,
+            ),
+        }
+        for channel_id, created_at, values in FIXTURE_WRITES:
+            assert fresh.write_update(channels[channel_id].write_key, values, created_at) > 0
+        fresh.close()
+        for name in ("channel-1.log", "channel-2.log"):
+            assert (fresh_dir / name).read_bytes() == (data / name).read_bytes()
+        meta = (fresh_dir / "channels.jsonl").read_text(encoding="utf-8")
+        for channel_id, ch in channels.items():  # keys are random; the rest must match
+            original = old.channel(channel_id)
+            meta = meta.replace(ch.write_key, original.write_key).replace(ch.read_key, original.read_key)
+        assert meta == (data / "channels.jsonl").read_text(encoding="utf-8")
+
+
+class TestClose:
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+    def test_write_after_close_raises_and_appends_nothing(self, tmp_path, on_disk):
+        data = tmp_path / "data"
+        store = TelemetryStore(data if on_disk else None)
+        ch = make_channel(store)
+        assert store.write_update(ch.write_key, {1: 1}, 0.0) == 1
+        store.close()
+        log = data / f"channel-{ch.channel_id}.log"
+        before = log.read_bytes() if on_disk else None
+        with pytest.raises(StoreClosedError):
+            store.write_update(ch.write_key, {1: 2}, 1.0)
+        with pytest.raises(StoreClosedError):
+            store.create_channel("late", ["x"])
+        assert [e.entry_id for e in store.read_feed(ch.channel_id, ch.read_key, 10)] == [1]
+        if on_disk:
+            assert log.read_bytes() == before
+            reopened = TelemetryStore(data)
+            try:
+                assert [c.channel_id for c in reopened.channels()] == [ch.channel_id]
+                assert reopened.write_update(ch.write_key, {1: 2}, 1.0) == 2
+            finally:
+                reopened.close()
+
+    def test_close_waits_for_an_append_in_flight(self, tmp_path):
+        store = TelemetryStore(tmp_path / "data")
+        ch = make_channel(store)
+        assert store.write_update(ch.write_key, {1: 1}, 0.0) == 1
+        with ch.lock:  # what an append holds from its closed-check to its flush
+            closer = threading.Thread(target=store.close, daemon=True)
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        with pytest.raises(StoreClosedError):
+            store.write_update(ch.write_key, {1: 2}, 1.0)
+
+    @pytest.mark.parametrize("round_", range(4))
+    def test_close_racing_writers_keeps_every_acknowledged_entry(self, tmp_path, round_):
+        data = tmp_path / "data"
+        store = TelemetryStore(data)
+        ch = make_channel(store, min_post_interval_s=0.0)
+        acked = [[] for _ in range(4)]  # ids each writer was told were accepted
+        errors = []
+
+        def writer(mine):
+            try:
+                while True:
+                    mine.append(store.write_update(ch.write_key, {1: len(mine)}, 0.0))
+            except StoreClosedError:
+                pass
+            except Exception as exc:  # noqa: BLE001  (reported by the assertion below)
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(mine,), daemon=True) for mine in acked]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while sum(map(len, acked)) < 100 * (round_ + 1) and time.monotonic() < deadline:
+                time.sleep(0.0005)
+            store.close()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        accepted = sorted(i for mine in acked for i in mine)
+        assert len(accepted) >= 100 * (round_ + 1)
+        assert accepted == list(range(1, len(accepted) + 1))
+        reopened = TelemetryStore(data)
+        try:
+            feed = reopened.read_feed(ch.channel_id, ch.read_key, len(accepted) + 10)
+            assert [e.entry_id for e in feed] == accepted
+        finally:
+            reopened.close()
+
+
+FIELDS = ("distance", "temperature", "note")
+field_values = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
+payloads = st.dictionaries(st.integers(1, len(FIELDS)), field_values, min_size=1)
+
+
+class FileStoreAgainstMemoryModel(RuleBasedStateMachine):
+    """The file store's feed stays equal to a memory-only store's through
+    writes, kills, torn logs and writes after close()."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp(prefix="store-model-"))
+        self.store = TelemetryStore(self.dir)
+        self.channel = self.store.create_channel("shower", list(FIELDS))
+        self.log = self.dir / f"channel-{self.channel.channel_id}.log"
+        self.model, self.model_channel = self.rebuilt_model([])
+        self.now = 0.0
+
+    @staticmethod
+    def rebuilt_model(entries):
+        model = TelemetryStore()
+        ch = model.create_channel("shower", list(FIELDS))
+        for entry in entries:
+            assert model.write_update(ch.write_key, entry.values, entry.created_at) == entry.entry_id
+        return model, ch
+
+    def feeds(self):
+        return (
+            self.store.read_feed(self.channel.channel_id, self.channel.read_key, 10**6),
+            self.model.read_feed(self.model_channel.channel_id, self.model_channel.read_key, 10**6),
+        )
+
+    @rule(step=st.sampled_from([0.0, 0.5, 1.0, 2.5]), values=payloads)
+    def write(self, step, values):
+        self.now += step
+        got = self.store.write_update(self.channel.write_key, values, self.now)
+        assert got == self.model.write_update(self.model_channel.write_key, values, self.now)
+
+    @rule()
+    def reopen_after_kill(self):
+        killed = self.store
+        self.store = TelemetryStore(self.dir)  # replays what the killed process flushed
+        killed.close()  # only frees its handles: every append was flushed already
+
+    @rule(data=st.data())
+    def tear_and_reopen(self, data):
+        self.store.close()
+        raw = self.log.read_bytes() if self.log.exists() else b""
+        kept = raw[: data.draw(st.integers(0, len(raw)), label="offset")]
+        self.log.write_bytes(kept)
+        model_feed = self.feeds()[1]
+        self.model.close()
+        self.model, self.model_channel = self.rebuilt_model(model_feed[: kept.count(b"\n")])
+        self.store = TelemetryStore(self.dir)
+
+    @rule(values=payloads)
+    def write_after_close(self, values):
+        self.store.close()
+        self.model.close()
+        for store, ch in ((self.store, self.channel), (self.model, self.model_channel)):
+            with pytest.raises(StoreClosedError):
+                store.write_update(ch.write_key, values, self.now + 10.0)
+        self.store = TelemetryStore(self.dir)
+        self.model, self.model_channel = self.rebuilt_model(self.feeds()[1])
+
+    @invariant()
+    def feed_matches_the_model(self):
+        stored, modelled = self.feeds()
+        assert repr(stored) == repr(modelled)
+
+    def teardown(self):
+        self.store.close()
+        self.model.close()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+
+TestFileStoreAgainstMemoryModel = FileStoreAgainstMemoryModel.TestCase
+TestFileStoreAgainstMemoryModel.settings = settings(
+    max_examples=40, stateful_step_count=20, deadline=None
+)
