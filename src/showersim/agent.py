@@ -2,7 +2,9 @@
 
 Each tick: sample every sensor, advance the controller, run the safety
 fusion, post the mapped fields to the telemetry channel and, on display
-boundaries, render the console status block.
+boundaries, render the console status block. A post goes over HTTP
+(TelemetryClient) or straight into an in-process store (StoreClient); both
+answer with the status line of the API, taken from the store error's status.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ from .sensors import (
     sound_sample,
     ultrasonic_measure,
 )
-from .telemetry.store import (
-    AuthenticationError,
-    NotFoundError,
-    StoreClosedError,
-    TelemetryError,
-    TelemetryStore,
-    ValidationError,
-)
+from .telemetry.store import MAX_FIELDS, TelemetryError, TelemetryStore
 
 logger = logging.getLogger(__name__)
 
@@ -92,8 +87,8 @@ class AgentConfig:
         if self.display_every_s <= 0 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("display_every_s must be a positive multiple of tick_s")
         positions = list(self.field_map)
-        if any(not (1 <= p <= 8) for p in positions):
-            raise ValueError("field positions must lie in 1..8")
+        if any(not (1 <= p <= MAX_FIELDS) for p in positions):
+            raise ValueError(f"field positions must lie in 1..{MAX_FIELDS}")
         if len(set(self.field_map.values())) != len(positions):
             raise ValueError("field map quantities must be unique")
         unknown = set(self.field_map.values()) - set(DEFAULT_FIELD_MAP.values())
@@ -130,14 +125,6 @@ def render_status(
 
 
 _FORM_HEADERS = {"Content-Type": "application/x-www-form-urlencoded"}
-
-# The status line the HTTP API answers each store rejection with.
-_REJECTED_STATUS = {
-    AuthenticationError: "401 Unauthorized",
-    ValidationError: "400 Bad Request",
-    NotFoundError: "404 Not Found",
-    StoreClosedError: "503 Service Unavailable",
-}
 
 
 def _peer_closed(sock) -> bool:
@@ -211,7 +198,7 @@ class StoreClient:
         try:
             return "200 OK", self.store.write_update(write_key, values, created_at)
         except TelemetryError as exc:
-            return _REJECTED_STATUS[type(exc)], None
+            return f"{exc.status} {http.client.responses[exc.status]}", None
 
     def close(self) -> None:
         self.store.close()
@@ -228,7 +215,6 @@ class TickResult:
     entry_id: int
     payload: dict
     alerts: list
-    commands: list
     console: Optional[str]
     transport_status: str
     humidity_above_threshold: bool = False  # informational flag; no control action
@@ -279,7 +265,7 @@ class DeviceAgent:
         gesture = gesture_poll(env)
 
         control = (ranges[0], temp_c, self.controller_cfg, self.profile, now)
-        new_state, commands = step(self.state, *control, water_locked=self.water_lockout)
+        new_state, _ = step(self.state, *control, water_locked=self.water_lockout)
         if new_state.occupancy is Occupancy.EMPTY:
             self.water_lockout = False  # episode over; lockout ends with it
 
@@ -294,7 +280,6 @@ class DeviceAgent:
             # redo the step locked; the engine's "water off" is this tick's command
             self.water_lockout = True
             new_state, _ = step(self.state, *control, water_locked=True)
-        commands = commands + safety_commands
         self.state = new_state
 
         humidity_flag = humidity > self.controller_cfg.humidity_threshold_pct
@@ -331,7 +316,6 @@ class DeviceAgent:
             entry_id=entry_id,
             payload=payload,
             alerts=alerts,
-            commands=commands,
             console=console,
             transport_status=self.last_status,
             humidity_above_threshold=humidity_flag,

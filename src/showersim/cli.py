@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -98,7 +99,13 @@ def _cmd_analyze(args) -> int:
         if reader.fieldnames is None or not {"time_s", "distance_cm"} <= set(reader.fieldnames):
             raise ConfigError(f"{args.feed}: feed needs time_s and distance_cm columns")
         for record in reader:
-            series.append((float(record["time_s"]), float(record["distance_cm"])))
+            distance = float(record["distance_cm"])
+            if not 0 <= distance < math.inf:
+                raise ConfigError(
+                    f"{args.feed} line {reader.line_num}: distance_cm must be finite "
+                    f"and >= 0, got {record['distance_cm']!r}"
+                )
+            series.append((float(record["time_s"]), distance))
     for interval in analyze_occupancy(series, config.controller):
         print(interval.label)
         print(f"Distance= {interval.entry_distance:g}")

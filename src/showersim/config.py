@@ -6,6 +6,7 @@ rejected so typos fail loudly. Lines starting with `#` are comments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -48,35 +49,42 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # key -> (section, caster)
 _KEYS = {
-    "activation_cm": ("controller", float),
-    "deactivation_cm": ("controller", float),
-    "t_hot_c": ("controller", float),
-    "t_cold_c": ("controller", float),
-    "humidity_threshold_pct": ("controller", float),
-    "max_discharge_c": ("controller", float),
-    "occupancy_alert_s": ("safety", float),
-    "prolonged_hot_s": ("safety", float),
+    "activation_cm": ("controller", _parse_float),
+    "deactivation_cm": ("controller", _parse_float),
+    "t_hot_c": ("controller", _parse_float),
+    "t_cold_c": ("controller", _parse_float),
+    "humidity_threshold_pct": ("controller", _parse_float),
+    "max_discharge_c": ("controller", _parse_float),
+    "occupancy_alert_s": ("safety", _parse_float),
+    "prolonged_hot_s": ("safety", _parse_float),
     "thud_window_samples": ("safety", int),
     "thud_min_ones": ("safety", int),
     "geometry_confirm_ticks": ("safety", int),
     "require_thud": ("safety", _parse_bool),
-    "tick_s": ("agent", float),
-    "display_every_s": ("agent", float),
+    "tick_s": ("agent", _parse_float),
+    "display_every_s": ("agent", _parse_float),
     "write_key": ("agent", str),
     "server_url": ("agent", str),
-    "sound_threshold": ("agent", float),
+    "sound_threshold": ("agent", _parse_float),
     "queue_limit": ("agent", int),
-    "mount_height_1": ("sensor", float),
-    "mount_height_2": ("sensor", float),
-    "mount_height_3": ("sensor", float),
-    "min_range": ("sensor", float),
-    "max_range": ("sensor", float),
-    "noise_sigma": ("sensor", float),
+    "mount_height_1": ("sensor", _parse_float),
+    "mount_height_2": ("sensor", _parse_float),
+    "mount_height_3": ("sensor", _parse_float),
+    "min_range": ("sensor", _parse_float),
+    "max_range": ("sensor", _parse_float),
+    "noise_sigma": ("sensor", _parse_float),
     "user_id": ("profile", str),
     "pin": ("profile", str),
-    "preferred_temp": ("profile", float),
+    "preferred_temp": ("profile", _parse_float),
     "preference_mode": ("profile", str),
 }
 

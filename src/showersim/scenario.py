@@ -3,11 +3,13 @@
 One event per line: `at <seconds> <kind> <key>=<value>...`, with `#`
 starting a comment. Person events carry an action word first:
 `person enter distance=140`, `person move distance=6`, `person fall`,
-`person leave`. Every script finishes with a single `end` event.
+`person leave`. Every script finishes with a single `end` event. Times and
+numeric values must be finite numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,10 +58,7 @@ def parse_scenario(text: str) -> list:
         tokens = line.split()
         if tokens[0] != "at" or len(tokens) < 3:
             raise ScenarioParseError("expected 'at <seconds> <kind> ...'", line_no)
-        try:
-            at = float(tokens[1])
-        except ValueError:
-            raise ScenarioParseError(f"bad timestamp {tokens[1]!r}", line_no) from None
+        at = _finite(tokens[1], "timestamp", line_no)
         if at < 0:
             raise ScenarioParseError("timestamps must be >= 0", line_no)
         kind = tokens[2]
@@ -85,6 +84,16 @@ def parse_scenario(text: str) -> list:
     return events
 
 
+def _finite(raw: str, what: str, line_no: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"{what} must be a finite number, got {raw!r}", line_no)
+    return value
+
+
 def _build_event(at, kind, action, tokens, line_no) -> ScenarioEvent:
     if kind == "person":
         spec = {"distance": float} if action in ("enter", "move") else {}
@@ -102,14 +111,7 @@ def _build_event(at, kind, action, tokens, line_no) -> ScenarioEvent:
         if key in seen:
             raise ScenarioParseError(f"duplicate parameter {key!r}", line_no)
         seen.add(key)
-        if spec[key] is float:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ScenarioParseError(f"{key} must be numeric, got {raw!r}", line_no) from None
-        else:
-            value = raw
-        params.append((key, value))
+        params.append((key, _finite(raw, key, line_no) if spec[key] is float else raw))
 
     missing = set(spec) - seen
     if kind == "env":
@@ -142,20 +144,6 @@ def _validate_shape(events: list) -> None:
         raise ScenarioValidationError("scenario has multiple end events")
     if ends[0] != len(events) - 1:
         raise ScenarioValidationError("the end event must be the last event")
-
-
-def format_event(event: ScenarioEvent) -> str:
-    parts = [f"at {event.at:g}", event.kind]
-    if event.action is not None:
-        parts.append(event.action)
-    for key, value in event.params:
-        rendered = f"{value:g}" if isinstance(value, float) else str(value)
-        parts.append(f"{key}={rendered}")
-    return " ".join(parts)
-
-
-def format_scenario(events) -> str:
-    return "\n".join(format_event(e) for e in events) + "\n"
 
 
 def apply_event(env: EnvironmentState, event: ScenarioEvent) -> None:

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-# Speed of sound at 20 degrees C, expressed per microsecond of echo time.
-SPEED_OF_SOUND_CM_PER_US = 0.0343
-
 # How high a body reaches for beam-intersection purposes: a standing person
 # blocks beams mounted at torso/head height, a fallen one only near the floor.
 STANDING_OCCLUSION_CM = 170.0
@@ -104,13 +101,6 @@ def default_ultrasonic_array() -> tuple[UltrasonicConfig, UltrasonicConfig, Ultr
         UltrasonicConfig("us-2", mount_height=90.0),
         UltrasonicConfig("us-3", mount_height=30.0),
     )
-
-
-def time_of_flight_to_distance(echo_time_us: float) -> float:
-    """Distance in cm for a round-trip echo time in microseconds."""
-    if echo_time_us < 0:
-        raise ValueError("echo time must be >= 0")
-    return echo_time_us * SPEED_OF_SOUND_CM_PER_US / 2.0
 
 
 def _beam_blocked(pose: PersonPose, mount_height: float) -> bool:

@@ -8,8 +8,10 @@ Endpoints:
 
 In simulation mode (--sim-time) the server trusts the client-supplied
 created_at so replays are deterministic, and an update without one is
-refused with 400; otherwise it stamps entries with its own clock. A write
-that reaches a closed store is answered 503.
+refused with 400; otherwise it stamps entries with its own clock. A refused
+call is answered with its store error's `status` (401 bad key, 400 invalid
+input such as a non-finite min_post_interval_s, 404 no such channel, 503
+closed store) and the error text as the body.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
-from .store import (
-    MAX_FIELDS,
-    AuthenticationError,
-    NotFoundError,
-    StoreClosedError,
-    TelemetryStore,
-    ValidationError,
-)
+from .store import MAX_FIELDS, AuthenticationError, TelemetryError, TelemetryStore, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -114,14 +109,8 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self, handler, *args) -> None:
         try:
             handler(*args)
-        except AuthenticationError:
-            self._send_text(401, "invalid key")
-        except NotFoundError as exc:
-            self._send_text(404, str(exc))
-        except ValidationError as exc:
-            self._send_text(400, str(exc))
-        except StoreClosedError as exc:
-            self._send_text(503, str(exc))
+        except TelemetryError as exc:
+            self._send_text(exc.status, str(exc))
 
     # -- routes --------------------------------------------------------------
 

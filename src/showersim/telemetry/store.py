@@ -13,6 +13,10 @@ path keeps (the next entry id, a finite non-decreasing created_at, field
 positions inside the schema, finite float values) marks a crashed writer:
 the log is truncated there with a warning, so the feed is always a prefix of
 what was acknowledged. close() is final: later writes raise StoreClosedError.
+
+Every refusal raises a TelemetryError subclass whose `status` is the HTTP
+status the API answers it with, so the HTTP server and the in-process
+agent.StoreClient answer from one table.
 """
 
 from __future__ import annotations
@@ -40,23 +44,27 @@ _META_FILE = "channels.jsonl"
 
 
 class TelemetryError(Exception):
-    pass
+    """A refused store call; each subclass sets its HTTP `status`."""
+
+    status: int
 
 
 class AuthenticationError(TelemetryError):
-    pass
+    status = 401
 
 
 class NotFoundError(TelemetryError):
-    pass
+    status = 404
 
 
 class ValidationError(TelemetryError):
-    pass
+    status = 400
 
 
 class StoreClosedError(TelemetryError):
     """The store was closed; it takes no more writes."""
+
+    status = 503
 
 
 class Entry(NamedTuple):
@@ -240,8 +248,8 @@ class TelemetryStore:
             )
         if visibility not in VISIBILITIES:
             raise ValidationError(f"visibility must be one of {VISIBILITIES}")
-        if min_post_interval_s < 0:
-            raise ValidationError("min_post_interval_s must be >= 0")
+        if not 0 <= min_post_interval_s < math.inf:
+            raise ValidationError("min_post_interval_s must be finite and >= 0")
         with self._lock:
             self._check_open()
             channel_id = max(self._channels, default=0) + 1
@@ -271,10 +279,6 @@ class TelemetryStore:
         if channel is None:
             raise NotFoundError(f"no channel {channel_id}")
         return channel
-
-    def channels(self) -> list:
-        with self._lock:
-            return list(self._channels.values())
 
     # -- data path -----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import time
 
 import pytest
@@ -12,7 +13,7 @@ from showersim.agent import (
     render_status,
 )
 from showersim.telemetry.server import TelemetryRequestHandler
-from showersim.telemetry.store import TelemetryStore
+from showersim.telemetry.store import TelemetryError, TelemetryStore
 from showersim.controller import Occupancy, WaterMode
 from showersim.sensors import EnvironmentState, PersonPose
 
@@ -310,10 +311,14 @@ class TestTelemetryClient:
         direct = StoreClient(sim_server.store)
         cases = [
             ("WRONGKEY00000000", {1: 1}, 0.0),  # 401
+            (ch.write_key, {}, 0.0),  # no values: 400
             (ch.write_key, {4: 1}, 0.0),  # position outside the schema: 400
             (ch.write_key, {1: float("nan")}, 0.0),
             (ch.write_key, {1: 1}, float("inf")),
         ]
+        # Every store error carries a status line both transports can name.
+        for error in TelemetryError.__subclasses__():
+            assert error.status in http.client.responses, error
         try:
             for key, values, created_at in cases:
                 answer = direct.post_update(key, values, created_at)
@@ -321,6 +326,10 @@ class TestTelemetryClient:
                 assert answer[1] is None
             assert direct.post_update(ch.write_key, {1: 1}, 0.0) == ("200 OK", 1)
             assert http_client.post_update(ch.write_key, {1: 2}, 1.0) == ("200 OK", 2)
+            sim_server.store.close()
+            answer = direct.post_update(ch.write_key, {1: 3}, 2.0)
+            assert answer == http_client.post_update(ch.write_key, {1: 3}, 2.0)
+            assert answer[0].startswith("503 ")
         finally:
             http_client.close()
         assert [

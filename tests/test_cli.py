@@ -28,6 +28,15 @@ class TestValidate:
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("validate", "/nonexistent/x.scn") == 2
 
+    @pytest.mark.parametrize(
+        "script", ["at nan env temp=20\nat 10 end\n", "at inf end\n", "at 0 env temp=inf\nat 10 end\n"]
+    )
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, script):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(script)
+        assert run_cli("validate", bad) == 1
+        assert "line 1" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_reports(self, tmp_path, capsys):
@@ -48,6 +57,15 @@ class TestRun:
         assert code == 0
         summary = capsys.readouterr().out.splitlines()[-1]
         assert summary.startswith("41 ticks, 21 accepted posts, 20 rejected, 0 dropped, ")
+
+    @pytest.mark.parametrize("line", ["tick_s = inf", "max_discharge_c = nan"])
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run_cli("run", scenario_path("approach.scn"), "--config", conf, "--out", out) == 1
+        assert "not a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_with_config(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -208,6 +226,15 @@ class TestAnalyze:
         feed = tmp_path / "feed.csv"
         feed.write_text("a,b\n1,2\n")
         assert run_cli("analyze", feed) == 1
+
+    @pytest.mark.parametrize("distance", ["nan", "inf", "-5"])
+    def test_bad_distance_is_an_error_naming_the_row(self, tmp_path, capsys, distance):
+        feed = tmp_path / "feed.csv"
+        feed.write_text(f"time_s,distance_cm\n0,100\n1,{distance}\n2,10\n")
+        assert run_cli("analyze", feed) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {feed} line 3: distance_cm")
 
 
 class TestConsoleScript:

@@ -285,6 +285,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="activation_cm"):
             parse_config("activation_cm = wide\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "max_discharge_c = nan",  # would lift the scald ceiling
+            "tick_s = inf",  # would crash the tick count
+            "activation_cm = -inf",
+            "noise_sigma = inf",
+            "preferred_temp = nan",
+        ],
+    )
+    def test_non_finite_float_rejected(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"line 1: bad value for {key}: not a finite number"):
+            parse_config(line + "\n")
+
     def test_invariant_violations_surface(self):
         with pytest.raises(ConfigError):
             parse_config("activation_cm = 80\ndeactivation_cm = 60\n")

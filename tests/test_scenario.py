@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from showersim.scenario import (
     ScenarioParseError,
     ScenarioValidationError,
-    format_scenario,
     parse_scenario,
 )
 
@@ -70,6 +69,13 @@ class TestParse:
         with pytest.raises(ScenarioParseError):
             parse_scenario("at -1 env temp=20\nat 5 end\n")
 
+    @pytest.mark.parametrize(
+        "line", ["at nan env temp=20", "at inf env temp=20", "at 0 env temp=nan", "at 0 env temp=inf"]
+    )
+    def test_non_finite_numbers_rejected(self, line):
+        with pytest.raises(ScenarioParseError, match="line 1: .* must be a finite number"):
+            parse_scenario(line + "\nat 5 end\n")
+
 
 @st.composite
 def scenario_events_text(draw):
@@ -109,13 +115,9 @@ def scenario_events_text(draw):
     return "\n".join(lines) + "\n"
 
 
-class TestRoundTrip:
+class TestGeneratedScripts:
     @given(text=scenario_events_text())
-    def test_format_then_reparse_is_identity(self, text):
+    def test_each_line_parses_to_one_event(self, text):
         events = parse_scenario(text)
-        assert parse_scenario(format_scenario(events)) == events
-
-    def test_hand_example(self):
-        text = "at 0 env temp=25 humidity=15\nat 5 person enter distance=140\nat 10 end\n"
-        events = parse_scenario(text)
-        assert format_scenario(events) == text
+        assert [e.at for e in events] == [float(line.split()[1]) for line in text.splitlines()]
+        assert events[-1].kind == "end"

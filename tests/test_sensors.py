@@ -15,7 +15,6 @@ from showersim.sensors import (
     gesture_poll,
     round_half_up,
     sound_sample,
-    time_of_flight_to_distance,
     ultrasonic_measure,
 )
 
@@ -28,22 +27,6 @@ def standing(distance: float, **kwargs) -> EnvironmentState:
     return EnvironmentState(
         person_pose=PersonPose.STANDING, person_distance=distance, **kwargs
     )
-
-
-class TestTimeOfFlight:
-    def test_zero_maps_to_zero(self):
-        assert time_of_flight_to_distance(0) == 0.0
-
-    @pytest.mark.parametrize("echo_us,expected_cm", [(5831, 100.0), (583, 10.0)])
-    def test_against_arithmetic_oracle(self, echo_us, expected_cm):
-        oracle = echo_us * 0.0343 / 2  # round trip halved at 343 m/s
-        got = time_of_flight_to_distance(echo_us)
-        assert got == oracle
-        assert abs(got - expected_cm) <= 0.1
-
-    def test_negative_echo_rejected(self):
-        with pytest.raises(ValueError):
-            time_of_flight_to_distance(-1)
 
 
 class TestUltrasonic:

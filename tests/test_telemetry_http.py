@@ -6,6 +6,8 @@ import socket
 import pytest
 import requests
 
+from showersim.telemetry.store import TelemetryStore
+
 
 def create_channel(server, fields=("distance", "temperature", "humidity"), **params):
     data = [("name", "shower")] + [("field", f) for f in fields]
@@ -219,6 +221,25 @@ class TestNonFiniteInput:
         ).text
         assert "NaN" not in feeds and "Infinity" not in feeds
         assert [row["field1"] for row in json_strict(feeds)["feeds"]] == [8]
+
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    def test_channel_interval_is_400_and_a_restart_keeps_every_channel(
+        self, sim_server, tmp_path, interval
+    ):
+        good = create_channel(sim_server)
+        response = requests.post(
+            sim_server.url + "/channels",
+            data={"name": "evil", "field": "x", "min_post_interval_s": interval},
+            timeout=5,
+        )
+        assert response.status_code == 400
+        later = create_channel(sim_server)
+        reopened = TelemetryStore(tmp_path / "server-data")  # the sim_server fixture's data dir
+        try:
+            for ch in (good, later):
+                assert reopened.channel(ch["channel_id"]).write_key == ch["write_key"]
+        finally:
+            reopened.close()
 
 
 def json_strict(text):

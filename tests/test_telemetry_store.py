@@ -231,7 +231,8 @@ class TestRecovery:
 
     def test_empty_data_dir(self, tmp_path):
         store = TelemetryStore(tmp_path / "fresh")
-        assert store.channels() == []
+        with pytest.raises(NotFoundError):
+            store.channel(1)
         store.close()
 
     def test_torn_final_record_truncated(self, tmp_path):
@@ -505,7 +506,9 @@ class TestClose:
             assert log.read_bytes() == before
             reopened = TelemetryStore(data)
             try:
-                assert [c.channel_id for c in reopened.channels()] == [ch.channel_id]
+                assert reopened.channel(ch.channel_id).name == ch.name
+                with pytest.raises(NotFoundError):  # the refused "late" channel
+                    reopened.channel(ch.channel_id + 1)
                 assert reopened.write_update(ch.write_key, {1: 2}, 1.0) == 2
             finally:
                 reopened.close()
