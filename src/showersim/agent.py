@@ -96,6 +96,8 @@ class AgentConfig:
             raise ValueError(f"unknown field map quantities: {sorted(unknown)}")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
+        if not 0 <= self.sound_threshold <= 1:
+            raise ValueError("sound_threshold must lie in [0, 1]")
         if self.server_url:
             _split_server_url(self.server_url)
 
@@ -204,8 +206,10 @@ class StoreClient:
         self.store.close()
 
 
-@dataclass
+@dataclass(slots=True)
 class TickResult:
+    """One tick's record and report row: `runner.CSV_COLUMNS`, then alerts and console."""
+
     time_s: float
     distance_cm: int
     temp_c: int
@@ -213,11 +217,8 @@ class TickResult:
     occupancy: Occupancy
     mode: WaterMode
     entry_id: int
-    payload: dict
     alerts: list
     console: Optional[str]
-    transport_status: str
-    humidity_above_threshold: bool = False  # informational flag; no control action
 
 
 class DeviceAgent:
@@ -314,11 +315,8 @@ class DeviceAgent:
             occupancy=new_state.occupancy,
             mode=new_state.mode,
             entry_id=entry_id,
-            payload=payload,
             alerts=alerts,
             console=console,
-            transport_status=self.last_status,
-            humidity_above_threshold=humidity_flag,
         )
 
     def _display_boundary(self, now: float) -> bool:

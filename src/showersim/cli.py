@@ -91,6 +91,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _feed_number(feed: str, line: int, record: dict, column: str, minimum=-math.inf) -> float:
+    """A feed cell that must be a finite number >= minimum; ConfigError names its line."""
+    raw = record[column]  # None: the row ended before this column
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not minimum <= value < math.inf:
+        at_least = f" >= {minimum:g}" if minimum > -math.inf else ""
+        got = "missing" if raw is None else f"got {raw!r}"
+        raise ConfigError(f"{feed} line {line}: {column} must be a finite number{at_least}, {got}")
+    return value
+
+
 def _cmd_analyze(args) -> int:
     config = _load(args)
     series = []
@@ -99,13 +113,9 @@ def _cmd_analyze(args) -> int:
         if reader.fieldnames is None or not {"time_s", "distance_cm"} <= set(reader.fieldnames):
             raise ConfigError(f"{args.feed}: feed needs time_s and distance_cm columns")
         for record in reader:
-            distance = float(record["distance_cm"])
-            if not 0 <= distance < math.inf:
-                raise ConfigError(
-                    f"{args.feed} line {reader.line_num}: distance_cm must be finite "
-                    f"and >= 0, got {record['distance_cm']!r}"
-                )
-            series.append((float(record["time_s"]), distance))
+            line = reader.line_num
+            time_s = _feed_number(args.feed, line, record, "time_s")
+            series.append((time_s, _feed_number(args.feed, line, record, "distance_cm", 0)))
     for interval in analyze_occupancy(series, config.controller):
         print(interval.label)
         print(f"Distance= {interval.entry_distance:g}")

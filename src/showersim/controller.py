@@ -14,16 +14,18 @@ from enum import Enum
 from typing import Optional
 
 
-class Occupancy(Enum):
+class Occupancy(str, Enum):
     OCCUPIED = "occupied"
     EMPTY = "empty"
+    __str__ = str.__str__  # the value, so a member prints as its report cell
 
 
-class WaterMode(Enum):
+class WaterMode(str, Enum):
     OFF = "off"
     HOT = "hot"
     COLD = "cold"
     NORMAL = "normal"
+    __str__ = str.__str__
 
 
 class PreferenceMode(Enum):

@@ -1,4 +1,7 @@
-"""Clock-driven scenario execution, occupancy analytics and report emission."""
+"""Clock-driven scenario execution, occupancy analytics and report emission.
+
+A run's report rows are the `agent.TickResult` records its ticks return.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from typing import Optional
 
 from .agent import DeviceAgent, StoreClient, TelemetryClient
 from .config import RunConfig, default_run_config
-from .controller import ControllerConfig, Occupancy, classify_occupancy
+from .controller import ControllerConfig, Occupancy, WaterMode, classify_occupancy
 from .scenario import ScenarioValidationError, apply_event
 from .sensors import EnvironmentState
 from .telemetry.store import TelemetryStore
@@ -23,17 +26,6 @@ _LABELS = {Occupancy.OCCUPIED: OCCUPIED_LABEL, Occupancy.EMPTY: EMPTY_LABEL}
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    time_s: float
-    distance_cm: int
-    temp_c: int
-    humidity_pct: int
-    occupancy: str
-    mode: str
-    entry_id: int
-
-
-@dataclass(frozen=True)
 class OccupancyInterval:
     start_s: float
     end_s: Optional[float]  # None: open at the end of the series
@@ -43,7 +35,7 @@ class OccupancyInterval:
 
 @dataclass
 class Report:
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list)  # agent.TickResult, one per tick
     transitions: list = field(default_factory=list)  # (time_s, what, before, after)
     alerts: list = field(default_factory=list)
     intervals: list = field(default_factory=list)
@@ -97,41 +89,28 @@ def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> R
 
         env = EnvironmentState()
         report = Report()
-        pending = list(events)
         index = 0
-        prev_occupancy = Occupancy.EMPTY.value
-        prev_mode = "off"
+        prev_occupancy, prev_mode = Occupancy.EMPTY, WaterMode.OFF
         for k in range(tick_count):
             now = k * tick_s
-            while index < len(pending) and pending[index].at <= now + 1e-9:
-                apply_event(env, pending[index])
+            while index < len(events) and events[index].at <= now + 1e-9:
+                apply_event(env, events[index])
                 index += 1
-            result = agent.tick(env, now)
-            row = ReportRow(
-                time_s=now,
-                distance_cm=result.distance_cm,
-                temp_c=result.temp_c,
-                humidity_pct=result.humidity_pct,
-                occupancy=result.occupancy.value,
-                mode=result.mode.value,
-                entry_id=result.entry_id,
-            )
+            row = agent.tick(env, now)
             report.rows.append(row)
-            if row.occupancy != prev_occupancy:
+            if row.occupancy is not prev_occupancy:
                 report.transitions.append((now, "occupancy", prev_occupancy, row.occupancy))
-            if row.occupancy != prev_occupancy or k == 0:
-                if report.intervals:
-                    report.intervals[-1] = replace(report.intervals[-1], end_s=now)
-                report.intervals.append(
-                    OccupancyInterval(now, None, _LABELS[result.occupancy], row.distance_cm)
-                )
-            if row.mode != prev_mode:
+            if row.mode is not prev_mode:
                 report.transitions.append((now, "mode", prev_mode, row.mode))
             prev_occupancy, prev_mode = row.occupancy, row.mode
-            report.alerts.extend(result.alerts)
-            if result.console is not None:
-                report.console.append((now, result.console))
+            report.alerts.extend(row.alerts)
+            if row.console is not None:
+                report.console.append((now, row.console))
 
+        # each tick's own occupancy: its rounded distance_cm may classify otherwise
+        report.intervals = _intervals(
+            (row.time_s, row.occupancy, row.distance_cm) for row in report.rows
+        )
         report.posts_attempted = agent.posts_attempted
         report.posts_accepted = agent.posts_accepted
         report.posts_rejected = agent.posts_rejected
@@ -142,6 +121,19 @@ def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> R
         client.close()
 
 
+def _intervals(samples) -> list:
+    """Maximal constant-occupancy intervals over (time, occupancy, distance) samples."""
+    starts = []
+    for sample in samples:
+        if not starts or sample[1] != starts[-1][1]:
+            starts.append(sample)
+    ends = [start[0] for start in starts[1:]] + [None]
+    return [
+        OccupancyInterval(start_s, end_s, _LABELS[occupancy], distance)
+        for (start_s, occupancy, distance), end_s in zip(starts, ends)
+    ]
+
+
 def analyze_occupancy(series, cfg: ControllerConfig) -> list:
     """Maximal constant-occupancy intervals over a (time, distance) series.
 
@@ -150,19 +142,12 @@ def analyze_occupancy(series, cfg: ControllerConfig) -> list:
     whole centimetres, a reading within 0.5 cm of a threshold can classify
     differently from the run's own `occupancy` column.
     """
-    intervals = []
-    prev = Occupancy.EMPTY
-    current = None  # (start, label, entry distance)
+    samples = []
+    occupancy = Occupancy.EMPTY
     for timestamp, distance in series:
-        occupancy = classify_occupancy(distance, prev, cfg)
-        if current is None or occupancy is not prev:
-            if current is not None:
-                intervals.append(OccupancyInterval(current[0], timestamp, current[1], current[2]))
-            current = (timestamp, _LABELS[occupancy], distance)
-        prev = occupancy
-    if current is not None:
-        intervals.append(OccupancyInterval(current[0], None, current[1], current[2]))
-    return intervals
+        occupancy = classify_occupancy(distance, occupancy, cfg)
+        samples.append((timestamp, occupancy, distance))
+    return _intervals(samples)
 
 
 def _num(value: float) -> str:
@@ -170,7 +155,11 @@ def _num(value: float) -> str:
 
 
 def emit_report(report: Report, path, fmt: str) -> list:
-    """Write the per-tick table in the requested format plus the alerts file."""
+    """Write the per-tick table in the requested format plus the alerts file.
+
+    A row is anything with the `CSV_COLUMNS` attributes whose cells print
+    (str, json) as the report shows them, such as plain strings or str enums.
+    """
     path = Path(path)
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]

@@ -88,8 +88,8 @@ class UltrasonicConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.min_range >= self.max_range:
-            raise ValueError("min_range must be below max_range")
+        if not 0 <= self.min_range < self.max_range:
+            raise ValueError("min_range must be >= 0 and below max_range")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 

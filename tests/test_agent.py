@@ -62,14 +62,15 @@ class TestOfflineTicks:
     def test_absent_room_payload(self):
         agent = make_agent()
         result = agent.tick(env_absent(), 0.0)
-        assert result.payload == {1: 600, 2: 25, 3: 15, 4: 0, 5: 0}
+        assert list(agent.queue) == [(0.0, {1: 600, 2: 25, 3: 15, 4: 0, 5: 0})]
         assert result.entry_id == 0
 
     def test_cold_mode_payload(self):
         agent = make_agent()
         result = agent.tick(env_standing(16), 0.0)
-        assert result.payload[4] == 2  # cold code
-        assert result.payload[1] == 20  # 16 cm sits below the ranger's floor
+        _, payload = agent.queue[-1]
+        assert payload[4] == 2  # cold code
+        assert payload[1] == 20  # 16 cm sits below the ranger's floor
         assert result.occupancy is Occupancy.OCCUPIED
 
     def test_console_only_on_display_boundaries(self):
@@ -92,10 +93,13 @@ class TestOfflineTicks:
         with caplog.at_level("INFO", logger="showersim.agent"):
             dry = agent.tick(env_absent(humidity=5.0), 0.0)
             humid = agent.tick(env_absent(humidity=40.0), 1.0)
-        assert not dry.humidity_above_threshold
-        assert humid.humidity_above_threshold
+            agent.tick(env_absent(humidity=5.0), 2.0)
         assert dry.mode is humid.mode  # no control action either way
-        assert any("threshold" in record.message for record in caplog.records)
+        # logged on each crossing only; the first, dry tick crosses nothing
+        assert [r.getMessage() for r in caplog.records if r.name == "showersim.agent"] == [
+            "humidity 40% above threshold 10%",
+            "humidity 5% back below threshold 10%",
+        ]
 
     def test_queue_bound_drop_oldest(self):
         client = TelemetryClient("http://127.0.0.1:9/")  # closed port
@@ -122,12 +126,13 @@ class TestPostedTicks:
         agent = DeviceAgent(AgentConfig(write_key=ch.write_key), client=client)
         try:
             first = agent.tick(env_absent(), 0.0)
+            first_status = agent.last_status
             second = agent.tick(env_absent(), 1.0)
         finally:
             client.close()
         assert (first.entry_id, second.entry_id) == (1, 2)
         assert agent.posts_accepted == 2
-        assert first.transport_status == "200 OK"
+        assert first_status == "200 OK"
 
     def test_backlog_drains_in_fifo_order(self, sim_server):
         ch = sim_server.store.create_channel(
@@ -151,6 +156,17 @@ class TestPostedTicks:
         created = [e.created_at for e in feed]
         assert created == sorted(created)
         assert created[0] == 0.0  # the outage payloads arrived, oldest first
+
+
+class RecordingClient:
+    """Accepts every post, keeping its (values, created_at) in order."""
+
+    def __init__(self):
+        self.posts = []
+
+    def post_update(self, write_key, values, created_at):
+        self.posts.append((values, created_at))
+        return "200 OK", len(self.posts)
 
 
 class FlakyStoreClient(StoreClient):
@@ -179,9 +195,12 @@ class TestBacklog:
 
     def test_queue_drains_on_the_first_good_tick(self):
         agent, store, ch = self.make(outage=3)
-        rows = [agent.tick(env_absent(), float(k)) for k in range(4)]
+        rows, statuses = [], []
+        for k in range(4):
+            rows.append(agent.tick(env_absent(), float(k)))
+            statuses.append(agent.last_status)
         assert [r.entry_id for r in rows] == [0, 0, 0, 4]
-        assert [r.transport_status for r in rows] == ["unreachable"] * 3 + ["200 OK"]
+        assert statuses == ["unreachable"] * 3 + ["200 OK"]
         assert list(agent.queue) == []
         rows += [agent.tick(env_absent(), float(k)) for k in range(4, 40)]
         assert [r.entry_id for r in rows[3:]] == list(range(4, 41))
@@ -218,7 +237,7 @@ class TestRefusedPosts:
         for k in range(8):
             result = agent.tick(env_absent(), float(k))
             assert result.entry_id == 0
-            assert result.transport_status in {"400 Bad Request", "401 Unauthorized"}
+            assert agent.last_status in {"400 Bad Request", "401 Unauthorized"}
             settled = (
                 agent.posts_accepted
                 + agent.posts_rejected
@@ -251,7 +270,8 @@ class TestRefusedPosts:
         store.close()
         agent = DeviceAgent(AgentConfig(write_key=ch.write_key), client=StoreClient(store))
         for k in range(3):
-            assert agent.tick(env_absent(), float(k)).transport_status == "503 Service Unavailable"
+            assert agent.tick(env_absent(), float(k)).entry_id == 0
+            assert agent.last_status == "503 Service Unavailable"
         assert (agent.posts_refused, len(agent.queue)) == (0, 3)
 
 
@@ -373,6 +393,7 @@ class TestAgentConfig:
 
     def test_remapped_fields_flow_through(self):
         cfg = AgentConfig(field_map={7: "mode_code", 2: "distance_cm"})
-        agent = DeviceAgent(cfg)
-        result = agent.tick(env_standing(30), 0.0)
-        assert result.payload == {2: 30, 7: 2}
+        client = RecordingClient()
+        agent = DeviceAgent(cfg, client=client)
+        assert agent.tick(env_standing(30), 0.0).entry_id == 1
+        assert client.posts == [({2: 30, 7: 2}, 0.0)]

@@ -38,6 +38,16 @@ class TestValidate:
         assert "line 1" in capsys.readouterr().err
 
 
+# config line -> what its error says
+BAD_CONFIG_LINES = {
+    "tick_s = inf": "not a finite number",
+    "max_discharge_c = nan": "not a finite number",
+    # both loaded, then crashed the run (exit 2); min_range once noise went below 0
+    "sound_threshold = 2": "sound_threshold must lie in [0, 1]",
+    "min_range = -10": "min_range must be >= 0",
+}
+
+
 class TestRun:
     def test_run_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -58,13 +68,13 @@ class TestRun:
         summary = capsys.readouterr().out.splitlines()[-1]
         assert summary.startswith("41 ticks, 21 accepted posts, 20 rejected, 0 dropped, ")
 
-    @pytest.mark.parametrize("line", ["tick_s = inf", "max_discharge_c = nan"])
+    @pytest.mark.parametrize("line", list(BAD_CONFIG_LINES))
     def test_non_finite_config_value_exits_1(self, tmp_path, capsys, line):
         conf = tmp_path / "bad.conf"
         conf.write_text(line + "\n")
         out = tmp_path / "out"
-        assert run_cli("run", scenario_path("approach.scn"), "--config", conf, "--out", out) == 1
-        assert "not a finite number" in capsys.readouterr().err
+        assert run_cli("run", scenario_path("fall.scn"), "--config", conf, "--out", out) == 1
+        assert BAD_CONFIG_LINES[line] in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_with_config(self, tmp_path, capsys):
@@ -227,14 +237,26 @@ class TestAnalyze:
         feed.write_text("a,b\n1,2\n")
         assert run_cli("analyze", feed) == 1
 
-    @pytest.mark.parametrize("distance", ["nan", "inf", "-5"])
-    def test_bad_distance_is_an_error_naming_the_row(self, tmp_path, capsys, distance):
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            pytest.param("1,nan", "distance_cm", id="nan"),
+            pytest.param("1,inf", "distance_cm", id="inf"),
+            pytest.param("1,-5", "distance_cm", id="-5"),
+            pytest.param("1,abc", "distance_cm", id="abc"),
+            pytest.param("1", "distance_cm", id="short-row"),
+            pytest.param("nan,10", "time_s", id="time-nan"),
+            pytest.param("inf,100", "time_s", id="time-inf"),
+            pytest.param("abc,10", "time_s", id="time-abc"),
+        ],
+    )
+    def test_bad_distance_is_an_error_naming_the_row(self, tmp_path, capsys, row, column):
         feed = tmp_path / "feed.csv"
-        feed.write_text(f"time_s,distance_cm\n0,100\n1,{distance}\n2,10\n")
+        feed.write_text(f"time_s,distance_cm\n0,100\n{row}\n2,10\n")
         assert run_cli("analyze", feed) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {feed} line 3: distance_cm")
+        assert captured.err.startswith(f"error: {feed} line 3: {column} ")
 
 
 class TestConsoleScript:

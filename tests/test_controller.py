@@ -55,6 +55,7 @@ class TestSelectWaterMode:
     @pytest.mark.parametrize(
         "temp,expected",
         [(21, WaterMode.HOT), (23, WaterMode.COLD), (22.5, WaterMode.NORMAL)],
+        ids=["21-WaterMode.HOT", "23-WaterMode.COLD", "22.5-WaterMode.NORMAL"],
     )
     def test_auto_branches(self, temp, expected):
         assert select_water_mode(temp, DEFAULTS) is expected

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 import threading
+from collections import namedtuple
 
 import pytest
 
+from showersim.agent import TickResult
 from showersim.config import ConfigError, default_run_config, load_config, parse_config
 from showersim.controller import ControllerConfig
 from showersim.runner import (
+    CSV_COLUMNS,
     EMPTY_LABEL,
     OCCUPIED_LABEL,
+    Report,
     analyze_occupancy,
     emit_report,
     run_scenario,
@@ -247,6 +252,31 @@ class TestEmitReport:
             emit_report(report, tmp_path / directory / "report.jsonl", "jsonl")
         for name in ("report.csv", "report.jsonl", "report.alerts"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_every_column_is_a_tick_record_field(self):
+        assert set(CSV_COLUMNS) <= {f.name for f in dataclasses.fields(TickResult)}
+        assert {type(row) for row in run_file("approach.scn").rows} == {TickResult}
+
+    def test_plain_string_rows_write_the_same_bytes(self, tmp_path):
+        # the duck type a caller's own row may use: plain-string occupancy and mode
+        report = run_file("prolonged_hot.scn", conf="short_safety.conf")
+        PlainRow = namedtuple("PlainRow", CSV_COLUMNS)
+        plain_rows = [
+            PlainRow(*(getattr(row, name) for name in CSV_COLUMNS))._replace(
+                occupancy=row.occupancy.value, mode=row.mode.value
+            )
+            for row in report.rows
+        ]
+        assert {type(row.mode) for row in plain_rows} == {str}
+        assert {row.mode for row in plain_rows} == {"off", "hot"}
+        plain = Report(rows=plain_rows, alerts=report.alerts)
+        for directory, source in (("run", report), ("plain", plain)):
+            (tmp_path / directory).mkdir()
+            for fmt in ("csv", "jsonl"):
+                emit_report(source, tmp_path / directory / f"report.{fmt}", fmt)
+        for name in ("report.csv", "report.jsonl", "report.alerts"):
+            run_bytes = (tmp_path / "run" / name).read_bytes()
+            assert run_bytes == (tmp_path / "plain" / name).read_bytes(), name
 
     def test_unknown_format_rejected(self, tmp_path):
         report = run_file("approach.scn")
