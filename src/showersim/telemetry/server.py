@@ -12,6 +12,20 @@ refused with 400; otherwise it stamps entries with its own clock. A refused
 call is answered with its store error's `status` (401 bad key, 400 invalid
 input such as a non-finite min_post_interval_s, 404 no such channel, 503
 closed store) and the error text as the body.
+
+A request body is framed by Content-Length on every method (a GET reads and
+ignores it), so no byte of a body is ever run as the next request; any
+Transfer-Encoding gets 411 and a close. Headers and body leave in one write
+through the buffered `wfile` that `handle_one_request()` flushes; an interim
+`100 Continue` is flushed at once, because the client holds its body back
+until it arrives.
+
+Feed rows are rendered once. Per channel the server keeps the JSON text of
+the rows of the last `feeds.json` page it served, keyed by entry id, and
+renders only the rows it lacks. The text cannot go stale: an entry never
+changes once appended, and a store never reuses an entry id. Each page's rows
+are published as a new dict that is never changed afterwards, so handler
+threads share them without a lock.
 """
 
 from __future__ import annotations
@@ -47,15 +61,22 @@ def _coerce(text: str):
         return text
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
+def _render_row(entry) -> str:
+    row = {"created_at": entry.created_at, "entry_id": entry.entry_id}
+    for position in sorted(entry.values):
+        row[f"field{position}"] = entry.values[position]
+    return json.dumps(row)
 
 
 class TelemetryRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # small request/response pairs; avoid delayed-ACK stalls
+    wbufsize = 64 * 1024  # an answer up to this size leaves in one write
+
+    def handle_expect_100(self) -> bool:
+        accepted = super().handle_expect_100()
+        self.wfile.flush()  # the client sends its body only after this interim answer
+        return accepted
 
     def log_message(self, fmt, *args):  # route access logs away from stderr
         logger.debug("%s " + fmt, self.address_string(), *args)
@@ -63,21 +84,27 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     def _params(self):
-        """(path, params), or None once a malformed request has been answered."""
+        """(path, params), or None once a malformed request has been answered.
+
+        The body is read on every method; only a POST's body carries params.
+        """
         url = urlparse(self.path)
         params = parse_qs(url.query)
+        if "Transfer-Encoding" in self.headers:
+            return self._refuse(411, "Transfer-Encoding is not supported; send Content-Length")
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not raw_length.isascii() or not raw_length.isdigit():
+            return self._refuse(400, "Content-Length must be a non-negative integer")
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            return self._refuse(413, f"request body over {MAX_BODY_BYTES} bytes")
+        body = self.rfile.read(length)
         if self.command == "POST":
-            raw_length = (self.headers.get("Content-Length") or "0").strip()
-            if not raw_length.isascii() or not raw_length.isdigit():
-                return self._refuse(400, "Content-Length must be a non-negative integer")
-            length = int(raw_length)
-            if length > MAX_BODY_BYTES:
-                return self._refuse(413, f"request body over {MAX_BODY_BYTES} bytes")
             try:
-                body = self.rfile.read(length).decode("utf-8")
+                text = body.decode("utf-8")
             except UnicodeDecodeError:
                 return self._refuse(400, "request body must be UTF-8")
-            for key, values in parse_qs(body).items():
+            for key, values in parse_qs(text).items():
                 params.setdefault(key, []).extend(values)
         return url.path, params
 
@@ -127,7 +154,10 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             self._send_text(404, "not found")
 
     def do_GET(self):
-        path, params = self._params()  # a GET has no body to refuse
+        request = self._params()
+        if request is None:
+            return
+        path, params = request
         feeds = _FEEDS_RE.match(path)
         last = _LAST_RE.match(path)
         if feeds:
@@ -195,13 +225,12 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         channel_obj = {"id": channel.channel_id, "name": channel.name}
         for position, field_name in enumerate(channel.field_names, start=1):
             channel_obj[f"field{position}"] = field_name
-        feeds = []
-        for entry in entries:
-            row = {"created_at": entry.created_at, "entry_id": entry.entry_id}
-            for position in sorted(entry.values):
-                row[f"field{position}"] = entry.values[position]
-            feeds.append(row)
-        self._send_json(200, {"channel": channel_obj, "feeds": feeds})
+        rendered = self.server.feed_rows.get(channel_id, {})
+        rows = {e.entry_id: rendered.get(e.entry_id) or _render_row(e) for e in entries}
+        self.server.feed_rows[channel_id] = rows
+        # The text json.dumps gives for {"channel": channel_obj, "feeds": [...]}.
+        body = f'{{"channel": {json.dumps(channel_obj)}, "feeds": [{", ".join(rows.values())}]}}'
+        self._send(200, body.encode("utf-8"), "application/json")
 
     def _get_last(self, channel_id: int, position: int, params) -> None:
         read_key = self._first(params, "api_key", "")
@@ -210,7 +239,7 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         if value is None:
             self._send_text(404, "")
         else:
-            self._send_text(200, _fmt(value))
+            self._send_text(200, str(value))
 
 
 class TelemetryHTTPServer(ThreadingHTTPServer):
@@ -226,6 +255,7 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
         super().__init__((host, port), TelemetryRequestHandler)
         self.store = store
         self.sim_time = sim_time
+        self.feed_rows: dict = {}  # channel id -> {entry id: row JSON} of its last page
         self._thread: Optional[threading.Thread] = None
 
     @property

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
@@ -153,6 +157,145 @@ class TestFeedsEndpoint:
         assert denied.status_code == 401
 
 
+# feeds.json bodies as the server has always written them: json.dumps of
+# {"channel": {...}, "feeds": [...]} with its default separators and escapes.
+PINNED_PAGES = {
+    1: rb'{"channel": {"id": 1, "name": "Dusch \"Bad\" \u00fc", "field1": "distance", '
+    rb'"field2": "Temp \u00b0C", "field3": "note"}, "feeds": ['
+    rb'{"created_at": 4.25, "entry_id": 4, "field1": -3, "field3": 5.0}]}',
+    2: rb'{"channel": {"id": 1, "name": "Dusch \"Bad\" \u00fc", "field1": "distance", '
+    rb'"field2": "Temp \u00b0C", "field3": "note"}, "feeds": ['
+    rb'{"created_at": 3.0, "entry_id": 3, "field2": 0.30000000000000004, "field3": "ok"}, '
+    rb'{"created_at": 4.25, "entry_id": 4, "field1": -3, "field3": 5.0}]}',
+    10: rb'{"channel": {"id": 1, "name": "Dusch \"Bad\" \u00fc", "field1": "distance", '
+    rb'"field2": "Temp \u00b0C", "field3": "note"}, "feeds": ['
+    rb'{"created_at": 0.0, "entry_id": 1, "field1": 8, "field2": 23.5, "field3": "caf\u00e9 \"x\""}, '
+    rb'{"created_at": 1.5, "entry_id": 2, "field1": 1234567.5}, '
+    rb'{"created_at": 3.0, "entry_id": 3, "field2": 0.30000000000000004, "field3": "ok"}, '
+    rb'{"created_at": 4.25, "entry_id": 4, "field1": -3, "field3": 5.0}]}',
+}
+PINNED_EMPTY_PAGE = rb'{"channel": {"id": 2, "name": "empty", "field1": "x"}, "feeds": []}'
+
+
+def get_page(server, channel_id, read_key, results) -> bytes:
+    response = requests.get(
+        server.url + f"/channels/{channel_id}/feeds.json",
+        params={"api_key": read_key, "results": results},
+        timeout=5,
+    )
+    assert response.status_code == 200
+    assert response.headers["Content-Type"] == "application/json"
+    assert int(response.headers["Content-Length"]) == len(response.content)
+    return response.content
+
+
+def fresh_page(store, channel_id, read_key, results) -> bytes:
+    """feeds.json rendered from scratch: a dict per row and one json.dumps."""
+    channel = store.channel(channel_id)
+    channel_obj = {"id": channel.channel_id, "name": channel.name}
+    for position, field_name in enumerate(channel.field_names, start=1):
+        channel_obj[f"field{position}"] = field_name
+    feeds = [
+        {
+            "created_at": entry.created_at,
+            "entry_id": entry.entry_id,
+            **{f"field{position}": entry.values[position] for position in sorted(entry.values)},
+        }
+        for entry in store.read_feed(channel_id, read_key, results)
+    ]
+    return json.dumps({"channel": channel_obj, "feeds": feeds}).encode("utf-8")
+
+
+class TestFeedBytes:
+    def test_pages_match_pinned_bytes(self, sim_server):
+        store = sim_server.store
+        ch = store.create_channel('Dusch "Bad" \u00fc', ["distance", "Temp \u00b0C", "note"])
+        empty = store.create_channel("empty", ["x"])
+        store.write_update(ch.write_key, {1: 8, 2: 23.5, 3: 'caf\u00e9 "x"'}, 0.0)
+        store.write_update(ch.write_key, {1: 1234567.5}, 1.5)
+        store.write_update(ch.write_key, {3: "ok", 2: 0.30000000000000004}, 3.0)
+        store.write_update(ch.write_key, {1: -3, 3: 5.0}, 4.25)
+        for results in (10, 1, 2, 10, 2):  # cold, shrinking, growing and repeated pages
+            page = get_page(sim_server, ch.channel_id, ch.read_key, results)
+            assert page == PINNED_PAGES[results]
+        assert get_page(sim_server, empty.channel_id, empty.read_key, 5) == PINNED_EMPTY_PAGE
+
+    def test_pages_equal_a_fresh_rendering_across_channels_and_windows(self, sim_server):
+        store = sim_server.store
+        channels = [store.create_channel(n, ["n", "label"], min_post_interval_s=0) for n in "ab"]
+        for step, results in enumerate([3, 5, 1, 5] * 3):
+            for count, ch in enumerate(channels, start=1):
+                for _ in range(count):  # the channels' ids drift apart
+                    store.write_update(ch.write_key, {1: step, 2: f"{ch.name}{step}"}, float(step))
+                page = get_page(sim_server, ch.channel_id, ch.read_key, results)
+                assert page == fresh_page(store, ch.channel_id, ch.read_key, results)
+
+    def test_concurrent_readers_see_consecutive_written_rows(self, sim_server):
+        ch = sim_server.store.create_channel("busy", ["n", "label"], min_post_interval_s=0)
+        host, port = sim_server.server_address[:2]
+        total = 300
+        writing = threading.Event()
+        writing.set()
+        failures = []
+
+        def written(entry_id):
+            return {
+                "created_at": float(entry_id),
+                "entry_id": entry_id,
+                "field1": entry_id * 3,
+                "field2": f"row{entry_id}",
+            }
+
+        def writer():
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                for entry_id in range(1, total + 1):
+                    row = written(entry_id)
+                    conn.request(
+                        "POST",
+                        f"/update?api_key={ch.write_key}&field1={row['field1']}"
+                        f"&field2={row['field2']}&created_at={row['created_at']}",
+                    )
+                    body = conn.getresponse().read()
+                    if body != str(entry_id).encode():
+                        failures.append(f"write {entry_id} answered {body!r}")
+            finally:
+                writing.clear()
+                conn.close()
+
+        def reader(results):
+            """Check each page read while the writer runs; returns how many held rows."""
+            path = f"/channels/{ch.channel_id}/feeds.json?api_key={ch.read_key}&results={results}"
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            pages = 0
+            try:
+                while writing.is_set():
+                    conn.request("GET", path)
+                    feeds = json.loads(conn.getresponse().read())["feeds"]
+                    pages += bool(feeds)
+                    ids = [row["entry_id"] for row in feeds]
+                    newest = ids[-1] if ids else 0
+                    if ids != list(range(newest - min(results, newest) + 1, newest + 1)):
+                        failures.append(f"results={results}: ids {ids}")
+                    if any(row != written(row["entry_id"]) for row in feeds):
+                        failures.append(f"results={results}: rows {feeds}")
+            finally:
+                conn.close()
+            return pages
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                readers = [pool.submit(reader, results) for results in (7, 4)]
+                pool.submit(writer).result(timeout=60)
+                pages = [future.result(timeout=10) for future in readers]
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert sum(pages) > 0
+
+
 class TestLastFieldEndpoint:
     def test_latest_value_as_text(self, sim_server):
         ch = create_channel(sim_server)
@@ -165,6 +308,32 @@ class TestLastFieldEndpoint:
         )
         assert response.status_code == 200
         assert response.text == "74"
+
+    @pytest.mark.parametrize(
+        "written, text",
+        [
+            ("1234567.5", "1234567.5"),
+            ("0.30000000000000004", "0.30000000000000004"),
+            ("5.0", "5.0"),
+        ],
+        ids=["large", "long-repr", "integral"],
+    )
+    def test_float_value_as_feeds_json_shows_it(self, sim_server, written, text):
+        ch = create_channel(sim_server)
+        post_update(sim_server, ch["write_key"], {1: written}, 0.0)
+        response = requests.get(
+            sim_server.url + f"/channels/{ch['channel_id']}/fields/1/last.txt",
+            params={"api_key": ch["read_key"]},
+            timeout=5,
+        )
+        feeds = requests.get(
+            sim_server.url + f"/channels/{ch['channel_id']}/feeds.json",
+            params={"api_key": ch["read_key"], "results": 1},
+            timeout=5,
+        ).text
+        assert response.status_code == 200
+        assert response.text == text
+        assert f'"field1": {text}}}' in feeds
 
     def test_empty_channel_is_404(self, sim_server):
         ch = create_channel(sim_server)
@@ -249,17 +418,40 @@ def json_strict(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def read_until_closed(sock) -> bytes:
+    chunks = []
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
 def raw_exchange(server, request: bytes) -> bytes:
-    """Send raw bytes and read until the server closes the connection."""
+    """Send raw bytes, end the request stream and read until the server closes."""
     host, port = server.server_address[:2]
     with socket.create_connection((host, port), timeout=5) as sock:
         sock.sendall(request)
-        chunks = []
-        while True:
-            chunk = sock.recv(4096)
-            if not chunk:
-                return b"".join(chunks)
-            chunks.append(chunk)
+        sock.shutdown(socket.SHUT_WR)
+        return read_until_closed(sock)
+
+
+def split_answers(reply: bytes) -> list:
+    """The (status line, headers, body) of each answer in `reply`, in order.
+
+    Each body must be as long as its Content-Length says.
+    """
+    answers = []
+    while reply:
+        head, end, reply = reply.partition(b"\r\n\r\n")
+        assert end, f"answer cut inside its headers: {head!r}"
+        status_line, *lines = head.split(b"\r\n")
+        headers = dict(line.split(b": ", 1) for line in lines)
+        length = int(headers[b"Content-Length"])
+        assert len(reply) >= length, f"body cut at {len(reply)} of {length} bytes"
+        answers.append((status_line, headers, reply[:length]))
+        reply = reply[length:]
+    return answers
 
 
 class TestMalformedRequests:
@@ -270,13 +462,52 @@ class TestMalformedRequests:
             (b"Content-Length: -5\r\n", b"api_key=x", b"400"),
             (b"Content-Length: 11\r\n", b"api_key=\xff\xfe\xfd", b"400"),
             (b"Content-Length: 10000000\r\n", b"api_key=x", b"413"),
+            (b"Transfer-Encoding: chunked\r\n", b"9\r\napi_key=x\r\n0\r\n\r\n", b"411"),
         ],
-        ids=["non-integer-length", "negative-length", "non-utf8-body", "oversized-body"],
+        ids=["non-integer-length", "negative-length", "non-utf8-body", "oversized-body", "chunked-body"],
     )
     def test_answered_then_closed(self, sim_server, head, body, status):
         request = b"POST /update HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body
-        reply = raw_exchange(sim_server, request)
-        status_line, _, rest = reply.partition(b"\r\n")
+        (status_line, headers, text), = split_answers(raw_exchange(sim_server, request))
         assert status_line.startswith(b"HTTP/1.1 " + status)
-        assert b"Connection: close" in rest
+        assert headers[b"Connection"] == b"close"
+        assert headers[b"Content-Type"] == b"text/plain; charset=utf-8"
+        assert text
         assert requests.get(sim_server.url + "/nope", timeout=5).status_code == 404
+
+    @pytest.mark.parametrize("kind", ["get-with-body", "chunked-post"])
+    def test_unread_body_is_never_run_as_a_request(self, sim_server, kind):
+        ch = create_channel(sim_server)
+        form = f"api_key={ch['write_key']}&field1=7&created_at=2.0"
+        if kind == "get-with-body":
+            inner = f"POST /update?{form} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n".encode()
+            request = (
+                f"GET /channels/{ch['channel_id']}/feeds.json?api_key={ch['read_key']} HTTP/1.1\r\n"
+                f"Host: test\r\nContent-Length: {len(inner)}\r\n\r\n"
+            ).encode() + inner
+            status = b"200"
+        else:
+            request = (
+                b"POST /update HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n" % len(form) + form.encode() + b"\r\n0\r\n\r\n"
+            )
+            status = b"411"
+        (status_line, _, _), = split_answers(raw_exchange(sim_server, request))
+        assert status_line.startswith(b"HTTP/1.1 " + status)
+        assert sim_server.store.read_feed(ch["channel_id"], ch["read_key"], 10) == []
+
+    def test_expect_100_continue_comes_before_the_body(self, sim_server):
+        ch = create_channel(sim_server)
+        body = f"api_key={ch['write_key']}&field1=7&created_at=0".encode()
+        head = (
+            b"POST /update HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+            b"Connection: close\r\nContent-Length: %d\r\n\r\n" % len(body)
+        )
+        host, port = sim_server.server_address[:2]
+        with socket.create_connection((host, port), timeout=2) as sock:
+            sock.sendall(head)
+            assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            (status_line, _, text), = split_answers(read_until_closed(sock))
+        assert status_line == b"HTTP/1.1 200 OK"
+        assert text == b"1"
