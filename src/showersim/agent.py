@@ -250,7 +250,6 @@ class DeviceAgent:
         self.state = ControllerState()
         self.engine = SafetyEngine(self.safety_cfg)
         self.queue = deque()
-        self.water_lockout = False
         self.posts_attempted = 0
         self.posts_accepted = 0
         self.posts_rejected = 0
@@ -266,20 +265,15 @@ class DeviceAgent:
         gesture = gesture_poll(env)
 
         control = (ranges[0], temp_c, self.controller_cfg, self.profile, now)
-        new_state, _ = step(self.state, *control, water_locked=self.water_lockout)
-        if new_state.occupancy is Occupancy.EMPTY:
-            self.water_lockout = False  # episode over; lockout ends with it
+        new_state, _ = step(self.state, *control, water_locked=self.engine.water_locked)
 
         per_sensor = tuple(
             Occupancy.OCCUPIED if r < self.controller_cfg.activation_cm else Occupancy.EMPTY
             for r in ranges
         )
-        alerts, safety_commands = self.engine.fuse_tick(
-            per_sensor, sound_bit, gesture, new_state, now
-        )
-        if "water off" in safety_commands and new_state.occupancy is Occupancy.OCCUPIED:
-            # redo the step locked; the engine's "water off" is this tick's command
-            self.water_lockout = True
+        alerts, _ = self.engine.fuse_tick(per_sensor, sound_bit, gesture, new_state, now)
+        if self.engine.water_locked and new_state.mode is not WaterMode.OFF:
+            # the engine has just locked the water: redo this tick's step locked
             new_state, _ = step(self.state, *control, water_locked=True)
         self.state = new_state
 

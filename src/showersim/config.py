@@ -1,7 +1,7 @@
 """Flat `key = value` run configuration.
 
-Keys are routed to the config type that declares them; unknown keys are
-rejected so typos fail loudly. Lines starting with `#` are comments.
+Keys are the flat fields of the config types they are routed to; unknown
+keys are rejected so typos fail loudly. Lines starting with `#` are comments.
 """
 
 from __future__ import annotations
@@ -9,12 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .agent import AgentConfig
 from .controller import ControllerConfig, PreferenceMode, UserProfile
 from .safety import SafetyConfig
-from .sensors import default_ultrasonic_array
+from .sensors import UltrasonicConfig, default_ultrasonic_array
 
 
 class ConfigError(ValueError):
@@ -31,13 +31,7 @@ class RunConfig:
 
 
 def default_run_config() -> RunConfig:
-    return RunConfig(
-        controller=ControllerConfig(),
-        safety=SafetyConfig(),
-        agent=AgentConfig(),
-        sensors=default_ultrasonic_array(),
-        profile=None,
-    )
+    return parse_config("")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -56,32 +50,27 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-# key -> (section, caster)
+_CASTERS = {float: _parse_float, int: int, bool: _parse_bool, str: str}
+
+
+def _field_keys(section: str, config_type) -> dict:
+    """key -> (section, caster) for each field of `config_type` whose type has a caster."""
+    types = get_type_hints(config_type)  # the fields' types, with annotations resolved
+    return {name: (section, _CASTERS[kind]) for name, kind in types.items() if kind in _CASTERS}
+
+
+# key -> (section, caster); each ranger's mount_height is keyed mount_height_<n>,
+# and all three share the other float fields of UltrasonicConfig.
 _KEYS = {
-    "activation_cm": ("controller", _parse_float),
-    "deactivation_cm": ("controller", _parse_float),
-    "t_hot_c": ("controller", _parse_float),
-    "t_cold_c": ("controller", _parse_float),
-    "humidity_threshold_pct": ("controller", _parse_float),
-    "max_discharge_c": ("controller", _parse_float),
-    "occupancy_alert_s": ("safety", _parse_float),
-    "prolonged_hot_s": ("safety", _parse_float),
-    "thud_window_samples": ("safety", int),
-    "thud_min_ones": ("safety", int),
-    "geometry_confirm_ticks": ("safety", int),
-    "require_thud": ("safety", _parse_bool),
-    "tick_s": ("agent", _parse_float),
-    "display_every_s": ("agent", _parse_float),
-    "write_key": ("agent", str),
-    "server_url": ("agent", str),
-    "sound_threshold": ("agent", _parse_float),
-    "queue_limit": ("agent", int),
-    "mount_height_1": ("sensor", _parse_float),
-    "mount_height_2": ("sensor", _parse_float),
-    "mount_height_3": ("sensor", _parse_float),
-    "min_range": ("sensor", _parse_float),
-    "max_range": ("sensor", _parse_float),
-    "noise_sigma": ("sensor", _parse_float),
+    **_field_keys("controller", ControllerConfig),
+    **_field_keys("safety", SafetyConfig),
+    **_field_keys("agent", AgentConfig),
+    **{f"mount_height_{n}": ("sensor", _parse_float) for n in (1, 2, 3)},
+    **{
+        name: ("sensor", _parse_float)
+        for name, kind in get_type_hints(UltrasonicConfig).items()
+        if kind is float and name != "mount_height"
+    },
     "user_id": ("profile", str),
     "pin": ("profile", str),
     "preferred_temp": ("profile", _parse_float),
@@ -90,7 +79,7 @@ _KEYS = {
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    sections = {"controller": {}, "safety": {}, "agent": {}, "sensor": {}, "profile": {}}
+    sections = {section: {} for section, _ in _KEYS.values()}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,17 +114,11 @@ def load_config(path) -> RunConfig:
 
 
 def _build_sensors(options: dict) -> tuple:
-    shared = {
-        key: options[key] for key in ("min_range", "max_range", "noise_sigma") if key in options
-    }
-    sensors = []
-    for index, base in enumerate(default_ultrasonic_array(), start=1):
-        overrides = dict(shared)
-        height_key = f"mount_height_{index}"
-        if height_key in options:
-            overrides["mount_height"] = options[height_key]
-        sensors.append(replace(base, **overrides) if overrides else base)
-    return tuple(sensors)
+    shared = {key: value for key, value in options.items() if not key.startswith("mount_height_")}
+    return tuple(
+        replace(base, mount_height=options.get(f"mount_height_{n}", base.mount_height), **shared)
+        for n, base in enumerate(default_ultrasonic_array(), start=1)
+    )
 
 
 def _build_profile(options: dict) -> Optional[UserProfile]:

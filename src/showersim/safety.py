@@ -147,6 +147,11 @@ class SafetyEngine:
     def help_pending(self) -> bool:
         return self._help_pending
 
+    @property
+    def water_locked(self) -> bool:
+        """No water from a prolonged-hot alert until the shower next empties."""
+        return AlertKind.PROLONGED_HOT in self._fired and self._prev_occupancy is Occupancy.OCCUPIED
+
     def fuse_tick(
         self,
         sensor_occupancy: tuple[Occupancy, Occupancy, Occupancy],

@@ -40,6 +40,27 @@ class ScenarioValidationError(ScenarioError):
     pass
 
 
+_PRESENT = (PersonPose.STANDING, PersonPose.FALLEN)
+
+# action -> (poses it may follow, refusal otherwise, pose after it; None keeps the pose)
+_PERSON_RULES = {
+    "enter": (
+        (PersonPose.ABSENT,), "person enter while someone is already present", PersonPose.STANDING
+    ),
+    "move": (_PRESENT, "person move while nobody is present", None),
+    "fall": ((PersonPose.STANDING,), "person fall requires a standing person", PersonPose.FALLEN),
+    "leave": (_PRESENT, "person leave while nobody is present", PersonPose.ABSENT),
+}
+
+
+def _pose_after(pose: PersonPose, action: str) -> PersonPose:
+    """The pose a person action leaves; raises where the action cannot follow `pose`."""
+    allowed, refusal, after = _PERSON_RULES[action]
+    if pose not in allowed:
+        raise ScenarioValidationError(refusal)
+    return pose if after is None else after
+
+
 @dataclass(frozen=True)
 class ScenarioEvent:
     at: float
@@ -49,8 +70,13 @@ class ScenarioEvent:
 
 
 def parse_scenario(text: str) -> list:
-    """Parse a script into time-ordered events; raises on the first bad line."""
+    """Parse a script into time-ordered events; raises on the first bad line.
+
+    Each person action must be possible in the pose the script has reached,
+    as `apply_event` requires when the script runs.
+    """
     events = []
+    pose = PersonPose.ABSENT
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,6 +105,11 @@ def parse_scenario(text: str) -> list:
                 f"line {line_no}: time goes backward "
                 f"({event.at:g} after {events[-1].at:g})"
             )
+        if kind == "person":
+            try:
+                pose = _pose_after(pose, action)
+            except ScenarioValidationError as exc:
+                raise ScenarioValidationError(f"line {line_no}: {exc}") from None
         events.append(event)
     _validate_shape(events)
     return events
@@ -164,21 +195,8 @@ def apply_event(env: EnvironmentState, event: ScenarioEvent) -> None:
 
 
 def _apply_person(env: EnvironmentState, action: str, params: dict) -> None:
-    if action == "enter":
-        if env.person_pose is not PersonPose.ABSENT:
-            raise ScenarioValidationError("person enter while someone is already present")
-        env.person_pose = PersonPose.STANDING
+    env.person_pose = _pose_after(env.person_pose, action)
+    if action in ("enter", "move"):
         env.person_distance = params["distance"]
-    elif action == "move":
-        if env.person_pose is PersonPose.ABSENT:
-            raise ScenarioValidationError("person move while nobody is present")
-        env.person_distance = params["distance"]
-    elif action == "fall":
-        if env.person_pose is not PersonPose.STANDING:
-            raise ScenarioValidationError("person fall requires a standing person")
-        env.person_pose = PersonPose.FALLEN
     elif action == "leave":
-        if env.person_pose is PersonPose.ABSENT:
-            raise ScenarioValidationError("person leave while nobody is present")
-        env.person_pose = PersonPose.ABSENT
         env.person_distance = None

@@ -15,10 +15,17 @@ closed store) and the error text as the body.
 
 A request body is framed by Content-Length on every method (a GET reads and
 ignores it), so no byte of a body is ever run as the next request; any
-Transfer-Encoding gets 411 and a close. Headers and body leave in one write
-through the buffered `wfile` that `handle_one_request()` flushes; an interim
-`100 Continue` is flushed at once, because the client holds its body back
-until it arrives.
+Transfer-Encoding gets 411 and a close, and a body that ends early gets 400.
+Headers and body leave in one write through the buffered `wfile` that
+`handle_one_request()` flushes; an interim `100 Continue` is flushed at once,
+because the client holds its body back until it arrives.
+
+Each socket wait lasts at most REQUEST_TIMEOUT_S, so a stalled client holds
+its handler thread no longer: a body that stops arriving gets 408 and a
+close, and an idle connection or unfinished headers are closed unanswered.
+Errors that http.server finds itself (a malformed request line, an unknown
+method, an oversized header) are answered as the API's own refusals: a
+status line, a text/plain body and Connection: close.
 
 Feed rows are rendered once. Per channel the server keeps the JSON text of
 the rows of the last `feeds.json` page it served, keyed by entry id, and
@@ -44,6 +51,7 @@ from .store import MAX_FIELDS, AuthenticationError, TelemetryError, TelemetrySto
 logger = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 64 * 1024  # a full /update form is well under 1 KiB
+REQUEST_TIMEOUT_S = 30.0  # longest wait for a client's bytes; an answer's write gets as long
 
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
@@ -72,11 +80,18 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # small request/response pairs; avoid delayed-ACK stalls
     wbufsize = 64 * 1024  # an answer up to this size leaves in one write
+    timeout = REQUEST_TIMEOUT_S  # a stalled client costs a thread only this long
 
     def handle_expect_100(self) -> bool:
         accepted = super().handle_expect_100()
         self.wfile.flush()  # the client sends its body only after this interim answer
         return accepted
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Answer an error that http.server finds itself as the API answers one."""
+        self.request_version = self.protocol_version  # a status line even for `hello`
+        self.log_error("code %d, message %s", code, message)
+        self._refuse(code, message or self.responses[code][0])
 
     def log_message(self, fmt, *args):  # route access logs away from stderr
         logger.debug("%s " + fmt, self.address_string(), *args)
@@ -98,7 +113,12 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         length = int(raw_length)
         if length > MAX_BODY_BYTES:
             return self._refuse(413, f"request body over {MAX_BODY_BYTES} bytes")
-        body = self.rfile.read(length)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            return self._refuse(408, f"request body not received within {self.timeout:g} s")
+        if len(body) < length:
+            return self._refuse(400, "request body ended before its Content-Length")
         if self.command == "POST":
             try:
                 text = body.decode("utf-8")
@@ -125,7 +145,8 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # only an error answers HEAD, and without a body
+            self.wfile.write(body)
 
     def _send_text(self, status: int, text: str) -> None:
         self._send(status, text.encode("utf-8"), "text/plain; charset=utf-8")

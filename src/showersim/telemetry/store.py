@@ -3,7 +3,9 @@
 A channel carries up to eight named fields behind distinct write/read keys.
 Accepted entries get a gapless per-channel sequence number starting at 1;
 entry id 0 is reserved to mean "rejected / no entry". Writes faster than the
-channel's minimum post interval are rejected with 0 and store nothing.
+channel's minimum post interval are rejected with 0 and store nothing. Each
+channel keeps the newest value of every field as entries are appended (on
+writes and on replay alike), so reading it never walks the feed.
 
 On disk each channel appends one complete JSON record per line to its own
 log file, with channel metadata appended to channels.jsonl. Recovery replays
@@ -84,7 +86,13 @@ class Channel:
     shared_with: list = field(default_factory=list)
     min_post_interval_s: float = 1.0
     entries: list = field(default_factory=list)
+    last_values: dict = field(default_factory=dict)  # field position -> its newest value
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def append(self, entry: Entry) -> None:
+        """Add the next entry; the caller holds `lock`, or replays the log alone."""
+        self.entries.append(entry)
+        self.last_values.update(entry.values)
 
     def meta(self) -> dict:
         return {
@@ -170,7 +178,7 @@ def _entry_loader(channel: "Channel"):
     """The `accept` that appends one channel's log records to its entries."""
     positions = {str(pos): pos for pos in range(1, len(channel.field_names) + 1)}
     entries = channel.entries
-    append = entries.append
+    append = channel.append
     isfinite = math.isfinite
 
     def accept(record) -> None:
@@ -316,7 +324,7 @@ class TelemetryStore:
                     return 0
             entry = Entry(len(channel.entries) + 1, stamp, dict(values))
             self._persist_entry(channel, entry)
-            channel.entries.append(entry)
+            channel.append(entry)
         return entry.entry_id
 
     def read_feed(
@@ -337,10 +345,7 @@ class TelemetryStore:
         if not 1 <= field_position <= len(channel.field_names):
             raise ValidationError(f"field position {field_position} outside the channel schema")
         with channel.lock:
-            for entry in reversed(channel.entries):
-                if field_position in entry.values:
-                    return entry.values[field_position]
-        return None
+            return channel.last_values.get(field_position)
 
     def _readable_channel(
         self, channel_id: int, read_key: str, user: Optional[str]

@@ -15,6 +15,7 @@ from showersim.agent import (
 from showersim.telemetry.server import TelemetryRequestHandler
 from showersim.telemetry.store import TelemetryError, TelemetryStore
 from showersim.controller import Occupancy, WaterMode
+from showersim.safety import AlertKind, SafetyConfig
 from showersim.sensors import EnvironmentState, PersonPose
 
 from conftest import GOLDEN_DIR
@@ -286,6 +287,28 @@ def count_connections(server):
 
     server.process_request = counting
     return accepted
+
+
+class TestWaterLockout:
+    def test_lockout_lasts_its_episode_and_the_next_one_runs_hot(self):
+        agent = make_agent(safety_cfg=SafetyConfig(prolonged_hot_s=5))
+        # 20 C outdoors selects hot water; the patron leaves at 15 s and is back at 18 s.
+        envs = [env_standing(30, temp=20.0)] * 15 + [env_absent(temp=20.0)] * 3
+        envs += [env_standing(30, temp=20.0)] * 13
+        results = [agent.tick(env, float(k)) for k, env in enumerate(envs)]
+        modes = "".join("H" if r.mode is WaterMode.HOT else "-" for r in results)
+        assert modes == "HHHHH" + "-" * 13 + "HHHHH" + "-" * 8
+        assert [r.occupancy for r in results] == [
+            Occupancy.OCCUPIED if env.person_pose is PersonPose.STANDING else Occupancy.EMPTY
+            for env in envs
+        ]
+        hot_alerts = [
+            alert.timestamp
+            for r in results
+            for alert in r.alerts
+            if alert.kind is AlertKind.PROLONGED_HOT
+        ]
+        assert hot_alerts == [5.0, 23.0]
 
 
 class TestTelemetryClient:

@@ -25,6 +25,14 @@ class TestValidate:
         assert run_cli("validate", bad) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_impossible_person_action_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("at 0 person enter distance=50\nat 1 person fall\nat 2 person fall\nat 5 end\n")
+        assert run_cli("validate", bad) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 3: person fall requires a standing person\n"
+        assert captured.out == ""
+
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("validate", "/nonexistent/x.scn") == 2
 

@@ -8,8 +8,9 @@ from collections import namedtuple
 
 import pytest
 
-from showersim.agent import TickResult
-from showersim.config import ConfigError, default_run_config, load_config, parse_config
+from showersim import config as config_module
+from showersim.agent import AgentConfig, TickResult
+from showersim.config import ConfigError, RunConfig, default_run_config, load_config, parse_config
 from showersim.controller import ControllerConfig
 from showersim.runner import (
     CSV_COLUMNS,
@@ -20,8 +21,9 @@ from showersim.runner import (
     emit_report,
     run_scenario,
 )
-from showersim.safety import AlertKind
+from showersim.safety import AlertKind, SafetyConfig
 from showersim.scenario import parse_scenario
+from showersim.sensors import default_ultrasonic_array
 from showersim.telemetry.server import TelemetryHTTPServer
 
 from conftest import scenario_path
@@ -290,6 +292,44 @@ class TestConfig:
         assert config.controller.activation_cm == 60.0
         assert config.agent.tick_s == 1.0
         assert config.profile is None
+
+    def test_defaults_are_the_config_types_defaults(self):
+        assert default_run_config() == RunConfig(
+            ControllerConfig(), SafetyConfig(), AgentConfig(), default_ultrasonic_array(), None
+        )
+
+    def test_every_key_keeps_its_section_and_caster(self):
+        number, flag = config_module._parse_float, config_module._parse_bool
+        assert config_module._KEYS == {
+            "activation_cm": ("controller", number),
+            "deactivation_cm": ("controller", number),
+            "t_hot_c": ("controller", number),
+            "t_cold_c": ("controller", number),
+            "humidity_threshold_pct": ("controller", number),
+            "max_discharge_c": ("controller", number),
+            "occupancy_alert_s": ("safety", number),
+            "prolonged_hot_s": ("safety", number),
+            "thud_window_samples": ("safety", int),
+            "thud_min_ones": ("safety", int),
+            "geometry_confirm_ticks": ("safety", int),
+            "require_thud": ("safety", flag),
+            "tick_s": ("agent", number),
+            "display_every_s": ("agent", number),
+            "write_key": ("agent", str),
+            "server_url": ("agent", str),
+            "sound_threshold": ("agent", number),
+            "queue_limit": ("agent", int),
+            "mount_height_1": ("sensor", number),
+            "mount_height_2": ("sensor", number),
+            "mount_height_3": ("sensor", number),
+            "min_range": ("sensor", number),
+            "max_range": ("sensor", number),
+            "noise_sigma": ("sensor", number),
+            "user_id": ("profile", str),
+            "pin": ("profile", str),
+            "preferred_temp": ("profile", number),
+            "preference_mode": ("profile", str),
+        }
 
     def test_parse_and_route_keys(self):
         config = parse_config(

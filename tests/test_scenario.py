@@ -4,10 +4,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from showersim.scenario import (
+    ScenarioEvent,
     ScenarioParseError,
     ScenarioValidationError,
+    apply_event,
     parse_scenario,
 )
+from showersim.sensors import EnvironmentState, PersonPose
+
+# person lines whose last one cannot happen in the pose the earlier ones reach
+IMPOSSIBLE_PERSON_ACTIONS = {
+    "enter-while-present": (
+        ["at 0 person enter distance=50", "at 1 person enter distance=40"],
+        "person enter while someone is already present",
+    ),
+    "move-with-nobody": (["at 0 person move distance=10"], "person move while nobody is present"),
+    "leave-with-nobody": (
+        ["at 0 person enter distance=50", "at 1 person leave", "at 2 person leave"],
+        "person leave while nobody is present",
+    ),
+    "fall-while-fallen": (
+        ["at 0 person enter distance=50", "at 1 person fall", "at 2 person fall"],
+        "person fall requires a standing person",
+    ),
+}
 
 
 class TestParse:
@@ -75,6 +95,39 @@ class TestParse:
     def test_non_finite_numbers_rejected(self, line):
         with pytest.raises(ScenarioParseError, match="line 1: .* must be a finite number"):
             parse_scenario(line + "\nat 5 end\n")
+
+
+class TestPersonActions:
+    @pytest.mark.parametrize(
+        "lines, refusal", IMPOSSIBLE_PERSON_ACTIONS.values(), ids=IMPOSSIBLE_PERSON_ACTIONS
+    )
+    def test_parse_refuses_naming_the_line(self, lines, refusal):
+        with pytest.raises(ScenarioValidationError) as info:
+            parse_scenario("\n".join(lines) + "\nat 5 end\n")
+        assert str(info.value) == f"line {len(lines)}: {refusal}"
+
+    @pytest.mark.parametrize(
+        "lines, refusal", IMPOSSIBLE_PERSON_ACTIONS.values(), ids=IMPOSSIBLE_PERSON_ACTIONS
+    )
+    def test_apply_refuses_what_parse_refuses(self, lines, refusal):
+        env = EnvironmentState()
+        for event in parse_scenario("\n".join(lines[:-1]) + "\nat 5 end\n")[:-1]:
+            apply_event(env, event)
+        _, at, _, action, *params = lines[-1].split()
+        params = tuple((key, float(value)) for key, value in (p.split("=") for p in params))
+        with pytest.raises(ScenarioValidationError) as info:
+            apply_event(env, ScenarioEvent(float(at), "person", action, params))
+        assert str(info.value) == refusal
+
+    def test_move_and_leave_after_a_fall(self):
+        events = parse_scenario(
+            "at 0 person enter distance=50\nat 1 person fall\nat 2 person move distance=40\n"
+            "at 3 person leave\nat 4 person enter distance=30\nat 5 person fall\nat 6 end\n"
+        )
+        env = EnvironmentState()
+        for event in events:
+            apply_event(env, event)
+        assert env.person_pose is PersonPose.FALLEN and env.person_distance == 30
 
 
 @st.composite

@@ -5,11 +5,15 @@ import json
 import socket
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
 
+from showersim.agent import TelemetryClient
+from showersim.telemetry import server as server_module
+from showersim.telemetry.server import TelemetryRequestHandler
 from showersim.telemetry.store import TelemetryStore
 
 
@@ -463,8 +467,16 @@ class TestMalformedRequests:
             (b"Content-Length: 11\r\n", b"api_key=\xff\xfe\xfd", b"400"),
             (b"Content-Length: 10000000\r\n", b"api_key=x", b"413"),
             (b"Transfer-Encoding: chunked\r\n", b"9\r\napi_key=x\r\n0\r\n\r\n", b"411"),
+            (b"Content-Length: 10\r\n", b"api", b"400"),
         ],
-        ids=["non-integer-length", "negative-length", "non-utf8-body", "oversized-body", "chunked-body"],
+        ids=[
+            "non-integer-length",
+            "negative-length",
+            "non-utf8-body",
+            "oversized-body",
+            "chunked-body",
+            "body-ends-early",
+        ],
     )
     def test_answered_then_closed(self, sim_server, head, body, status):
         request = b"POST /update HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body
@@ -511,3 +523,66 @@ class TestMalformedRequests:
             (status_line, _, text), = split_answers(read_until_closed(sock))
         assert status_line == b"HTTP/1.1 200 OK"
         assert text == b"1"
+
+
+class TestServerOwnErrors:
+    """Errors that http.server finds before any route runs answer like the API's own."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"hello\r\n", b"400"),
+            (b"PUT /update HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n", b"501"),
+            (b"POST /update HTTP/1.1\r\nX-Big: " + b"a" * 65530, b"431"),  # a 65,537-byte line
+        ],
+        ids=["one-word-line", "unknown-method", "oversized-header"],
+    )
+    def test_plain_text_then_closed(self, sim_server, request_bytes, status):
+        (status_line, headers, text), = split_answers(raw_exchange(sim_server, request_bytes))
+        assert status_line.startswith(b"HTTP/1.1 " + status + b" ")
+        assert headers[b"Connection"] == b"close"
+        assert headers[b"Content-Type"] == b"text/plain; charset=utf-8"
+        assert text
+
+    def test_head_gets_the_headers_alone(self, sim_server):
+        reply = raw_exchange(sim_server, b"HEAD /update HTTP/1.1\r\nHost: test\r\n\r\n")
+        head, end, body = reply.partition(b"\r\n\r\n")
+        status_line, *lines = head.split(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 501 ")
+        assert b"Content-Type: text/plain; charset=utf-8" in lines
+        assert (end, body) == (b"\r\n\r\n", b"")
+
+
+@pytest.fixture
+def short_timeout(monkeypatch):
+    monkeypatch.setattr(TelemetryRequestHandler, "timeout", 0.3)
+
+
+class TestSlowClients:
+    def test_every_connection_has_the_timeout(self):
+        assert TelemetryRequestHandler.timeout == server_module.REQUEST_TIMEOUT_S == 30.0
+
+    def test_a_body_that_stops_short_gets_408(self, sim_server, short_timeout):
+        with socket.create_connection(sim_server.server_address[:2], timeout=5) as sock:
+            sock.sendall(b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: 10\r\n\r\napi")
+            (status_line, headers, text), = split_answers(read_until_closed(sock))
+        assert status_line == b"HTTP/1.1 408 Request Timeout"
+        assert headers[b"Connection"] == b"close"
+        assert headers[b"Content-Type"] == b"text/plain; charset=utf-8"
+        assert text == b"request body not received within 0.3 s"
+
+    def test_headers_that_never_come_end_the_connection(self, sim_server, short_timeout):
+        # A two-word request line reads as HTTP/0.9, whose headers never come.
+        with socket.create_connection(sim_server.server_address[:2], timeout=5) as sock:
+            sock.sendall(b"GET /channels/1/feeds.json\r\n")
+            assert read_until_closed(sock) == b""
+
+    def test_a_device_idle_past_the_timeout_posts_again(self, sim_server, short_timeout):
+        ch = create_channel(sim_server)
+        client = TelemetryClient(sim_server.url)
+        try:
+            assert client.post_update(ch["write_key"], {1: 8}, 0.0) == ("200 OK", 1)
+            time.sleep(0.6)  # the server closes the idle keep-alive connection
+            assert client.post_update(ch["write_key"], {1: 9}, 1.0) == ("200 OK", 2)
+        finally:
+            client.close()

@@ -212,6 +212,36 @@ class TestReadLastField:
         store.write_update(ch.write_key, {1: 74}, 1.0)
         assert store.read_last_field(ch.channel_id, ch.read_key, 2) == 25
 
+    def test_reads_without_scanning_the_feed(self, store):
+        ch = make_channel(store)
+        store.write_update(ch.write_key, {1: 8, 2: 25}, 0.0)
+        ch.entries = UnscannableList(ch.entries)
+        store.write_update(ch.write_key, {1: 74}, 1.0)
+        last = [store.read_last_field(ch.channel_id, ch.read_key, pos) for pos in (1, 2, 3)]
+        assert last == [74, 25, None]
+
+    def test_last_values_survive_a_reopen(self, tmp_path):
+        store = TelemetryStore(tmp_path / "data")
+        ch = make_channel(store)
+        store.write_update(ch.write_key, {1: 8, 2: 25.5}, 0.0)
+        store.write_update(ch.write_key, {1: 74, 3: "wet"}, 1.0)
+        store.close()
+        reopened = TelemetryStore(tmp_path / "data")
+        try:
+            last = [reopened.read_last_field(ch.channel_id, ch.read_key, pos) for pos in (1, 2, 3)]
+        finally:
+            reopened.close()
+        assert last == [74, 25.5, "wet"]
+
+
+class UnscannableList(list):
+    """A feed that fails any walk over its entries."""
+
+    def __iter__(self):
+        raise AssertionError("the feed was scanned")
+
+    __reversed__ = __iter__
+
 
 class TestRecovery:
     def test_durability_round_trip(self, tmp_path):
@@ -644,6 +674,13 @@ class FileStoreAgainstMemoryModel(RuleBasedStateMachine):
     def feed_matches_the_model(self):
         stored, modelled = self.feeds()
         assert repr(stored) == repr(modelled)
+
+    @invariant()
+    def last_values_match_the_model(self):
+        def last(store, ch):
+            return [store.read_last_field(ch.channel_id, ch.read_key, pos) for pos in (1, 2, 3)]
+
+        assert repr(last(self.store, self.channel)) == repr(last(self.model, self.model_channel))
 
     def teardown(self):
         self.store.close()
