@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import tempfile
 import threading
@@ -284,6 +285,84 @@ class TestEmitReport:
         report = run_file("approach.scn")
         with pytest.raises(ValueError):
             emit_report(report, tmp_path / "report.xml", "xml")
+
+
+# The first 16 hex digits of the sha256 of report.csv, report.jsonl and
+# report.alerts, for each golden scenario (with its own config) under three
+# variants: sub-second ticks, whose times have long reprs such as
+# 0.30000000000000004, and a noisy ranger with hysteresis and no thud gate.
+PINNED_VARIANTS = {
+    "tick-0.1": ("", 0.1, 0),  # (extra config lines, tick_s or None, seed)
+    "tick-0.5": ("", 0.5, 0),
+    "noisy": ("noise_sigma = 10\ndeactivation_cm = 75\nrequire_thud = false\n", None, 6),
+}
+PINNED_DIGESTS = {
+    ("approach.scn", "tick-0.1"): "77df403497e222fe ff4bc60fbd46c36d e3b0c44298fc1c14",
+    ("approach.scn", "tick-0.5"): "7df24bc8051eb74c 299c394e20e0108e e3b0c44298fc1c14",
+    ("approach.scn", "noisy"): "f719861bfb1a6971 9e646d48e3af181c e3b0c44298fc1c14",
+    ("fall.scn", "tick-0.1"): "2c16a782b6c06e25 a312026fcd011965 e3b0c44298fc1c14",
+    ("fall.scn", "tick-0.5"): "10c07098e498e47f 650e5cdea1c56d86 bc91b81fcfc55c81",
+    ("fall.scn", "noisy"): "c85efcb35dc08a2f e89173fad1ec0c72 5f43ed02f54ec5a2",
+    ("hairdryer.scn", "tick-0.1"): "19a02ece933f580b 0814b222c0de8f36 e3b0c44298fc1c14",
+    ("hairdryer.scn", "tick-0.5"): "189662f21e85a7aa 9d03080e5d95fc4b e3b0c44298fc1c14",
+    ("hairdryer.scn", "noisy"): "380ac5333cb8798e c653669a19d1d7e0 e3b0c44298fc1c14",
+    ("help_gesture.scn", "tick-0.1"): "615ee3ebd7d61387 7331ca65d07684cd 25749a8907b04979",
+    ("help_gesture.scn", "tick-0.5"): "e080f556a94fb6c5 8ee5f31ad61caa32 25749a8907b04979",
+    ("help_gesture.scn", "noisy"): "617e1f73fd893bfb 4f6aaf6baca82c6c 25749a8907b04979",
+    ("occupancy_30s.scn", "tick-0.1"): "5ef4fb6830584e45 2f53b95087f78d0e e3b0c44298fc1c14",
+    ("occupancy_30s.scn", "tick-0.5"): "037812bccd127ac1 4c1f4e45fb94fa3e e3b0c44298fc1c14",
+    ("occupancy_30s.scn", "noisy"): "a6a1f7a8731abdc0 b851f587d2248509 e3b0c44298fc1c14",
+    ("prolonged_hot.scn", "tick-0.1"): "cfab7065282fd265 350ce246fa1ebeb1 511673862bd748bd",
+    ("prolonged_hot.scn", "tick-0.5"): "492e0e5173dbd9da 0bac6908a752f3ce 511673862bd748bd",
+    ("prolonged_hot.scn", "noisy"): "4b30365ba671c990 6b71bd7ec36f12f1 511673862bd748bd",
+    ("standing.scn", "tick-0.1"): "37b53190cc585578 32334437d0f922af e3b0c44298fc1c14",
+    ("standing.scn", "tick-0.5"): "4d85e461f59eba5c 597e1cf638387b91 e3b0c44298fc1c14",
+    ("standing.scn", "noisy"): "7d322d057ab44d4d 8634e4135717ce33 e3b0c44298fc1c14",
+    ("vacant.scn", "tick-0.1"): "b3289b8abfa5c391 74690915d185e10c e3b0c44298fc1c14",
+    ("vacant.scn", "tick-0.5"): "794c6bd7b75cea30 287c892682a45a61 e3b0c44298fc1c14",
+    ("vacant.scn", "noisy"): "65dbba507c05f09a e3f781bab5a14e83 e3b0c44298fc1c14",
+}
+
+
+def _pinned_report(name, variant):
+    extra, tick_s, seed = PINNED_VARIANTS[variant]
+    conf = dict(GOLDEN_SCENARIOS)[name]
+    config = parse_config((scenario_path(conf).read_text() if conf else "") + extra)
+    if tick_s is not None:
+        config.agent = dataclasses.replace(config.agent, tick_s=tick_s)
+    return run_scenario(parse_scenario(scenario_path(name).read_text()), config, seed=seed)
+
+
+def _report_digests(report, directory):
+    directory.mkdir()
+    emit_report(report, directory / "report.csv", "csv")
+    emit_report(report, directory / "report.jsonl", "jsonl")
+    return " ".join(
+        hashlib.sha256((directory / f"report.{ext}").read_bytes()).hexdigest()[:16]
+        for ext in ("csv", "jsonl", "alerts")
+    )
+
+
+class TestPinnedReportBytes:
+    @pytest.mark.parametrize("name,variant", sorted(PINNED_DIGESTS))
+    def test_report_bytes_match_the_pinned_digests(self, tmp_path, name, variant):
+        report = _pinned_report(name, variant)
+        assert _report_digests(report, tmp_path / "run") == PINNED_DIGESTS[name, variant]
+        # a caller's own rows with plain-string occupancy and mode, as bench writes them
+        PlainRow = namedtuple("PlainRow", CSV_COLUMNS)
+        plain_rows = [
+            PlainRow(*(getattr(row, name) for name in CSV_COLUMNS))._replace(
+                occupancy=row.occupancy.value, mode=row.mode.value
+            )
+            for row in report.rows
+        ]
+        plain = Report(rows=plain_rows, alerts=report.alerts)
+        assert _report_digests(plain, tmp_path / "plain") == PINNED_DIGESTS[name, variant]
+
+    def test_every_golden_scenario_is_pinned_in_every_variant(self):
+        assert set(PINNED_DIGESTS) == {
+            (name, variant) for name, _ in GOLDEN_SCENARIOS for variant in PINNED_VARIANTS
+        }
 
 
 class TestConfig:
