@@ -257,9 +257,16 @@ class DeviceAgent:
         self.posts_refused = 0
         self.last_status = "no transport"
         self._humidity_flag = False
+        self._fields = sorted(cfg.field_map.items())  # (position, quantity), posted in order
 
     def tick(self, env: EnvironmentState, now: float) -> TickResult:
-        ranges = [ultrasonic_measure(env, cfg, self.rng) for cfg in self.sensors]
+        rng = self.rng
+        us1, us2, us3 = self.sensors
+        ranges = (
+            ultrasonic_measure(env, us1, rng),
+            ultrasonic_measure(env, us2, rng),
+            ultrasonic_measure(env, us3, rng),
+        )
         temp_c, humidity = dht_measure(env)
         sound_bit = sound_sample(env, self.cfg.sound_threshold)
         gesture = gesture_poll(env)
@@ -267,9 +274,12 @@ class DeviceAgent:
         control = (ranges[0], temp_c, self.controller_cfg, self.profile, now)
         new_state, _ = step(self.state, *control, water_locked=self.engine.water_locked)
 
-        per_sensor = tuple(
-            Occupancy.OCCUPIED if r < self.controller_cfg.activation_cm else Occupancy.EMPTY
-            for r in ranges
+        activation = self.controller_cfg.activation_cm
+        occupied, empty = Occupancy.OCCUPIED, Occupancy.EMPTY  # an Enum class lookup is slow
+        per_sensor = (
+            occupied if ranges[0] < activation else empty,
+            occupied if ranges[1] < activation else empty,
+            occupied if ranges[2] < activation else empty,
         )
         alerts, _ = self.engine.fuse_tick(per_sensor, sound_bit, gesture, new_state, now)
         if self.engine.water_locked and new_state.mode is not WaterMode.OFF:
@@ -294,7 +304,7 @@ class DeviceAgent:
             "mode_code": MODE_CODES[new_state.mode],
             "alert_code": ALERT_CODES[alerts[0].kind] if alerts else 0,
         }
-        payload = {pos: quantities[name] for pos, name in sorted(self.cfg.field_map.items())}
+        payload = {pos: quantities[name] for pos, name in self._fields}
         entry_id = self._post(payload, now)
 
         console = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -131,6 +131,14 @@ def actuator_outputs(state: ControllerState) -> frozenset:
     return frozenset(leds)
 
 
+# (occupancy, mode) -> the LEDs actuator_outputs lights for that state
+_LEDS = {
+    (occupancy, mode): actuator_outputs(ControllerState(occupancy, mode))
+    for occupancy in Occupancy
+    for mode in WaterMode
+}
+
+
 def step(
     state: ControllerState,
     distance: float,
@@ -144,8 +152,8 @@ def step(
 
     While water_locked (a safety shut-off for this episode) an occupied
     shower stays occupied but runs no water. Commands (mode and LED changes)
-    are emitted only when the corresponding piece of state actually changed,
-    so an unchanged state produces none.
+    are emitted only when the corresponding piece of state actually changed.
+    A tick that changes nothing returns the same state object and no commands.
     """
     occupancy = classify_occupancy(distance, state.occupancy, cfg)
     if occupancy is Occupancy.OCCUPIED:
@@ -161,16 +169,21 @@ def step(
             discharge = clamp_discharge_temperature(profile.preferred_temp, cfg)
         else:
             discharge = clamp_discharge_temperature(NOMINAL_DISCHARGE_C[mode], cfg)
-
-    new_state = ControllerState(occupancy, mode, discharge, occupied_since)
-    new_state = replace(new_state, leds=actuator_outputs(new_state))
+    leds = _LEDS[occupancy, mode]
+    if (
+        occupancy is state.occupancy
+        and mode is state.mode
+        and discharge == state.discharge_temp
+        and occupied_since == state.occupied_since
+        and leds == state.leds
+    ):
+        return state, []
 
     commands: list[str] = []
     if mode is not state.mode:
         commands.append("water off" if mode is WaterMode.OFF else f"mode {mode.value}")
     for color in LED_COLORS:
-        before = color in state.leds
-        after = color in new_state.leds
-        if after != before:
+        after = color in leds
+        if after != (color in state.leds):
             commands.append(f"led {color} {'on' if after else 'off'}")
-    return new_state, commands
+    return ControllerState(occupancy, mode, discharge, occupied_since, leds), commands

@@ -18,6 +18,10 @@ from .scenario import ScenarioValidationError, apply_event
 from .sensors import EnvironmentState
 from .telemetry.store import TelemetryStore
 
+# The most ticks one run may plan: about 115 days at tick_s = 1. A longer
+# plan is refused before the first tick instead of running until killed.
+MAX_TICKS = 10_000_000
+
 CSV_COLUMNS = ("time_s", "distance_cm", "temp_c", "humidity_pct", "occupancy", "mode", "entry_id")
 
 OCCUPIED_LABEL = "Shower space occupied"
@@ -57,7 +61,8 @@ def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> R
     """Step the clock from 0 to the end event, one agent tick per step.
 
     Events with `at <= t` are applied before the tick at t, so an event on a
-    tick boundary is visible to that tick. The agent posts to
+    tick boundary is visible to that tick. A plan of more than MAX_TICKS ticks
+    raises ScenarioValidationError. The agent posts to
     `config.agent.server_url` with its `write_key` or, when the URL is empty,
     straight into a memory-only store holding one "shower" channel.
     """
@@ -66,7 +71,14 @@ def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> R
         raise ScenarioValidationError("scenario must finish with an end event")
     tick_s = config.agent.tick_s
     end_time = events[-1].at
-    tick_count = int(math.floor(end_time / tick_s + 1e-9)) + 1
+    last_tick = end_time / tick_s + 1e-9  # inf when tick_s is tiny beside end_time
+    if last_tick >= MAX_TICKS:
+        planned = f"{math.floor(last_tick) + 1:,}" if last_tick < 1e15 else f"{last_tick:.3g}"
+        raise ScenarioValidationError(
+            f"a run to {end_time:g} s at tick_s = {tick_s:g} plans {planned} ticks, "
+            f"over the cap of {MAX_TICKS:,}"
+        )
+    tick_count = int(math.floor(last_tick)) + 1
 
     agent_cfg = config.agent
     if agent_cfg.server_url:
@@ -150,8 +162,12 @@ def analyze_occupancy(series, cfg: ControllerConfig) -> list:
     return _intervals(samples)
 
 
-def _num(value: float) -> str:
-    return f"{value:g}"
+class _JsonCells(dict):
+    """cell -> its JSON text, rendered on first use."""
+
+    def __missing__(self, cell) -> str:
+        self[cell] = text = json.dumps(cell)
+        return text
 
 
 def emit_report(report: Report, path, fmt: str) -> list:
@@ -159,18 +175,27 @@ def emit_report(report: Report, path, fmt: str) -> list:
 
     A row is anything with the `CSV_COLUMNS` attributes whose cells print
     (str, json) as the report shows them, such as plain strings or str enums.
+    A jsonl row is the text `json.dumps` gives for its `CSV_COLUMNS` dict: the
+    numbers are their repr, and each distinct occupancy and mode cell is
+    rendered once.
     """
     path = Path(path)
+    rows = report.rows
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for row in report.rows:
-            cells = [_num(row.time_s)]
-            cells.extend(str(getattr(row, name)) for name in CSV_COLUMNS[1:])
-            lines.append(",".join(cells))
+        lines.extend(
+            f"{r.time_s:g},{r.distance_cm!s},{r.temp_c!s},{r.humidity_pct!s},"
+            f"{r.occupancy!s},{r.mode!s},{r.entry_id!s}"
+            for r in rows
+        )
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == "jsonl":
+        cells = _JsonCells()
         lines = [
-            json.dumps({name: getattr(row, name) for name in CSV_COLUMNS}) for row in report.rows
+            f'{{"time_s": {r.time_s!r}, "distance_cm": {r.distance_cm!r}, "temp_c": {r.temp_c!r}, '
+            f'"humidity_pct": {r.humidity_pct!r}, "occupancy": {cells[r.occupancy]}, '
+            f'"mode": {cells[r.mode]}, "entry_id": {r.entry_id!r}}}'
+            for r in rows
         ]
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     else:
@@ -178,7 +203,7 @@ def emit_report(report: Report, path, fmt: str) -> list:
 
     alerts_path = path.with_suffix(".alerts")
     alert_lines = [
-        f"{_num(alert.timestamp)},{alert.kind.value},{alert.evidence}" for alert in report.alerts
+        f"{alert.timestamp:g},{alert.kind.value},{alert.evidence}" for alert in report.alerts
     ]
     alerts_path.write_text("\n".join(alert_lines) + ("\n" if alert_lines else ""), encoding="utf-8")
     return [path, alerts_path]

@@ -150,7 +150,7 @@ class SafetyEngine:
     @property
     def water_locked(self) -> bool:
         """No water from a prolonged-hot alert until the shower next empties."""
-        return AlertKind.PROLONGED_HOT in self._fired and self._prev_occupancy is Occupancy.OCCUPIED
+        return self._prev_occupancy is Occupancy.OCCUPIED and AlertKind.PROLONGED_HOT in self._fired
 
     def fuse_tick(
         self,
@@ -164,22 +164,24 @@ class SafetyEngine:
         self._tick += 1
         alerts: list[Alert] = []
         commands: list[str] = []
+        fired = self._fired
 
-        if (
-            controller_state.occupancy is Occupancy.OCCUPIED
-            and self._prev_occupancy is Occupancy.EMPTY
-        ):
-            self._fired.clear()
-            self._help_pending = False
-        self._prev_occupancy = controller_state.occupancy
+        occupancy = controller_state.occupancy
+        if occupancy is not self._prev_occupancy:
+            if occupancy is Occupancy.OCCUPIED:  # a patron entered: a new episode
+                fired.clear()
+                self._help_pending = False
+            self._prev_occupancy = occupancy
 
         if controller_state.mode is not WaterMode.HOT:
             self._hot_since = None
         elif self._hot_since is None:
             self._hot_since = now
 
-        self._sound_window.append(1 if sound_bit else 0)
-        if detect_thud(self._sound_window, self.cfg):
+        window = self._sound_window
+        window.append(1 if sound_bit else 0)
+        # an all-quiet window holds no thud, so only a loud sample calls the detector
+        if 1 in window and detect_thud(window, self.cfg):
             self._last_thud_tick = self._tick
 
         us1, us2, us3 = sensor_occupancy
@@ -188,28 +190,42 @@ class SafetyEngine:
         else:
             self._geometry_streak = 0
 
+        # Each kind fires at most once per episode, so once it has fired its
+        # alert is not built again; nor is a duration check run with no segment.
         confirm = self.cfg.geometry_confirm_ticks
         thud_recent = (
             self._last_thud_tick is not None
             and self._tick - self._last_thud_tick <= confirm
         )
-        if self._geometry_streak >= confirm and (thud_recent or not self.cfg.require_thud):
+        if (
+            self._geometry_streak >= confirm
+            and (thud_recent or not self.cfg.require_thud)
+            and AlertKind.FALL not in fired
+        ):
             evidence = f"sensors 1-2 clear with sensor-3 obstacle for {self._geometry_streak} ticks"
             if self.cfg.require_thud:
                 evidence += f"; thud within the last {confirm} ticks"
             self._emit(alerts, Alert(AlertKind.FALL, now, evidence))
 
-        meaning = interpret_gesture(gesture) if gesture is not None else GestureMeaning.NONE
-        if meaning is GestureMeaning.HELP:
-            if self._emit(alerts, Alert(AlertKind.HELP_GESTURE, now, f"gesture {gesture.value}")):
-                self._help_pending = True
-        elif meaning is GestureMeaning.OKAY and self._help_pending:
-            self._help_pending = False
-            commands.append("clear help")
+        if gesture is not None:
+            meaning = interpret_gesture(gesture)
+            if meaning is GestureMeaning.HELP:
+                help_alert = Alert(AlertKind.HELP_GESTURE, now, f"gesture {gesture.value}")
+                if self._emit(alerts, help_alert):
+                    self._help_pending = True
+            elif meaning is GestureMeaning.OKAY and self._help_pending:
+                self._help_pending = False
+                commands.append("clear help")
 
-        if self._emit(alerts, check_prolonged_hot(self._hot_since, now, self.cfg)):
+        if (
+            self._hot_since is not None
+            and AlertKind.PROLONGED_HOT not in fired
+            and self._emit(alerts, check_prolonged_hot(self._hot_since, now, self.cfg))
+        ):
             commands.append("water off")
-        self._emit(alerts, check_occupancy_timeout(controller_state.occupied_since, now, self.cfg))
+        occupied_since = controller_state.occupied_since
+        if occupied_since is not None and AlertKind.OCCUPANCY_TIMEOUT not in fired:
+            self._emit(alerts, check_occupancy_timeout(occupied_since, now, self.cfg))
         return alerts, commands
 
     def _emit(self, alerts: list[Alert], alert: Optional[Alert]) -> bool:

@@ -25,7 +25,8 @@ its handler thread no longer: a body that stops arriving gets 408 and a
 close, and an idle connection or unfinished headers are closed unanswered.
 Errors that http.server finds itself (a malformed request line, an unknown
 method, an oversized header) are answered as the API's own refusals: a
-status line, a text/plain body and Connection: close.
+status line, a text/plain body and Connection: close. So is an HTTP/0.9
+request line, which http.server would answer with a bare body.
 
 Feed rows are rendered once. Per channel the server keeps the JSON text of
 the rows of the last `feeds.json` page it served, keyed by entry id, and
@@ -86,6 +87,19 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         accepted = super().handle_expect_100()
         self.wfile.flush()  # the client sends its body only after this interim answer
         return accepted
+
+    def parse_request(self) -> bool:
+        """Refuse an HTTP/0.9 request line (no version, or HTTP/0.9 itself).
+
+        http.server answers one with a bare body and no status line, which an
+        HTTP/1.1 client cannot read as an answer.
+        """
+        if not super().parse_request():
+            return False
+        if self.request_version == "HTTP/0.9":
+            self.send_error(400, "request line must end with HTTP/1.0 or HTTP/1.1")
+            return False
+        return True
 
     def send_error(self, code, message=None, explain=None) -> None:
         """Answer an error that http.server finds itself as the API answers one."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -83,6 +84,20 @@ class TestRun:
         out = tmp_path / "out"
         assert run_cli("run", scenario_path("fall.scn"), "--config", conf, "--out", out) == 1
         assert BAD_CONFIG_LINES[line] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_over_the_tick_cap_exits_1_at_once(self, tmp_path, capsys):
+        # 20 s at 1e-12 s per tick once planned 2e13 ticks and ran until killed
+        conf = tmp_path / "tiny.conf"
+        conf.write_text("tick_s = 1e-12\ndisplay_every_s = 1e-12\n")
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run_cli("run", scenario_path("fall.scn"), "--config", conf, "--out", out) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: a run to 20 s at tick_s = 1e-12 plans 20,000,000,000,001 ticks, "
+            "over the cap of 10,000,000\n"
+        )
         assert not out.exists()
 
     def test_run_with_config(self, tmp_path, capsys):

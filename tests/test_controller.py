@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from showersim.controller import (
+    LED_COLORS,
+    NOMINAL_DISCHARGE_C,
     ControllerConfig,
     ControllerState,
     Occupancy,
@@ -190,6 +193,91 @@ class TestStep:
         state, _ = step(ControllerState(), 16, 23, DEFAULTS, profile)
         assert state.mode is WaterMode.NORMAL
         assert state.discharge_temp == 50.0
+
+
+def step_from_scratch(state, distance, temp_c, cfg, profile, now, water_locked):
+    """The rules of `step` applied from scratch: every field and every LED recomputed."""
+    occupancy = classify_occupancy(distance, state.occupancy, cfg)
+    occupied = occupancy is Occupancy.OCCUPIED
+    since = None
+    if occupied:
+        since = state.occupied_since if state.occupancy is Occupancy.OCCUPIED else now
+    if not occupied or water_locked:
+        mode, discharge = WaterMode.OFF, 0.0
+    else:
+        mode = select_water_mode(temp_c, cfg, profile)
+        fixed = profile is not None and profile.preference_mode is PreferenceMode.FIXED
+        requested = profile.preferred_temp if fixed else NOMINAL_DISCHARGE_C[mode]
+        discharge = clamp_discharge_temperature(requested, cfg)
+    new = ControllerState(occupancy, mode, discharge, since)
+    new = ControllerState(occupancy, mode, discharge, since, actuator_outputs(new))
+    commands = []
+    if mode is not state.mode:
+        commands.append("water off" if mode is WaterMode.OFF else f"mode {mode.value}")
+    for color in LED_COLORS:
+        if (color in new.leds) != (color in state.leds):
+            commands.append(f"led {color} {'on' if color in new.leds else 'off'}")
+    return new, commands
+
+
+# A state step can reach, or one with a field the rules disagree with (a
+# stale LED set, entry time or setpoint): any state a caller may hand in.
+ANY_STATE = st.builds(
+    lambda state, change: dataclasses.replace(state, **change),
+    st.sampled_from(
+        [
+            step_from_scratch(ControllerState(), distance, temp_c, DEFAULTS, None, 0.0, False)[0]
+            for distance in (8.0, 600.0)
+            for temp_c in (21, 22.5, 25)
+        ]
+    ),
+    st.sampled_from(
+        [
+            {},
+            {"leds": frozenset()},
+            {"leds": frozenset({"blue", "red"})},
+            {"occupied_since": None},
+            {"occupied_since": 3.0},
+            {"discharge_temp": 40.0},
+        ]
+    ),
+)
+
+
+class TestStepAgainstDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=ANY_STATE,
+        ticks=st.lists(
+            st.tuples(
+                st.sampled_from([8.0, 45.72, 59.9, 60.0, 61.0, 76.2, 144.0, 600.0])
+                | st.floats(min_value=0, max_value=600),
+                st.sampled_from([21, 22, 22.5, 23, 25]) | st.integers(-10, 45),
+                st.floats(min_value=0.0, max_value=5.0),  # seconds since the last tick
+                st.booleans(),  # water_locked
+                st.sampled_from([DEFAULTS, HYSTERESIS, ControllerConfig(max_discharge_c=40)]),
+            ),
+            max_size=60,
+        ),
+        profile=st.sampled_from(
+            [
+                None,
+                UserProfile("bob", "1111", 60.0, PreferenceMode.FIXED),
+                UserProfile("al", "0420"),
+            ]
+        ),
+    )
+    def test_matches_a_from_scratch_step(self, start, ticks, profile):
+        state, now = start, 0.0
+        for distance, temp_c, dt, water_locked, cfg in ticks:
+            now += dt
+            expected = step_from_scratch(state, distance, temp_c, cfg, profile, now, water_locked)
+            new_state, commands = step(state, distance, temp_c, cfg, profile, now, water_locked)
+            assert (new_state, commands) == expected
+            assert new_state.leds == actuator_outputs(new_state)
+            if new_state == state:
+                assert new_state is state and commands == []
+            state = new_state
 
 
 class TestWaterLock:

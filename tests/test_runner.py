@@ -10,6 +10,7 @@ from collections import namedtuple
 import pytest
 
 from showersim import config as config_module
+from showersim import runner as runner_module
 from showersim.agent import AgentConfig, TickResult
 from showersim.config import ConfigError, RunConfig, default_run_config, load_config, parse_config
 from showersim.controller import ControllerConfig
@@ -23,7 +24,7 @@ from showersim.runner import (
     run_scenario,
 )
 from showersim.safety import AlertKind, SafetyConfig
-from showersim.scenario import parse_scenario
+from showersim.scenario import ScenarioValidationError, parse_scenario
 from showersim.sensors import default_ultrasonic_array
 from showersim.telemetry.server import TelemetryHTTPServer
 
@@ -166,6 +167,14 @@ class TestRunScenario:
         report = run_file("fall.scn")
         assert [row.entry_id for row in report.rows] == list(range(1, len(report.rows) + 1))
         assert threading.active_count() == threads
+
+    def test_tick_cap_admits_exactly_max_ticks(self, monkeypatch):
+        events = parse_scenario(scenario_path("approach.scn").read_text())  # 21 ticks
+        monkeypatch.setattr(runner_module, "MAX_TICKS", 21)
+        assert len(run_scenario(events).rows) == 21
+        monkeypatch.setattr(runner_module, "MAX_TICKS", 20)
+        with pytest.raises(ScenarioValidationError, match="plans 21 ticks, over the cap of 20$"):
+            run_scenario(events)
 
     def test_replay_is_deterministic(self):
         a = run_file("fall.scn", seed=42)

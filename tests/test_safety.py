@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from showersim.controller import ControllerState, Occupancy, WaterMode
 from showersim.safety import (
@@ -347,6 +347,66 @@ class TestFusion:
             return out
 
         assert drive() == drive()
+
+
+class TestFallTimingAgainstThudOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        thud=st.integers(min_value=1, max_value=12).flatmap(
+            lambda samples: st.tuples(st.just(samples), st.integers(1, samples))
+        ),  # (thud_window_samples, thud_min_ones) that can hold a thud
+        confirm=st.integers(min_value=1, max_value=3),
+        require_thud=st.booleans(),
+        ticks=st.lists(
+            # (sound bit, fall geometry, shower occupied): long geometry runs
+            # and frequent entries, which re-arm FALL, make the FALL ticks
+            # show each tick's thud
+            st.tuples(st.integers(0, 1), st.sampled_from([True] * 4 + [False]), st.booleans()),
+            max_size=80,
+        ),
+    )
+    # The thud of the loud tick 1 still holds on the quiet tick 2, which is
+    # what lets the FALL of tick 3 through.
+    @example(
+        thud=(3, 1),
+        confirm=1,
+        require_thud=True,
+        ticks=[(0, False, False), (1, False, False), (0, False, False), (0, True, False)],
+    )
+    def test_fall_ticks_match_detect_thud_on_the_whole_window(
+        self, thud, confirm, require_thud, ticks
+    ):
+        window_samples, min_ones = thud
+        cfg = SafetyConfig(
+            thud_window_samples=window_samples,
+            thud_min_ones=min_ones,
+            geometry_confirm_ticks=confirm,
+            require_thud=require_thud,
+        )
+        engine = SafetyEngine(cfg)
+        window = [0] * window_samples
+        last_thud = None
+        streak = 0
+        fired = False
+        was_occupied = False
+        for tick, (bit, geometry, occupied) in enumerate(ticks):
+            if occupied and not was_occupied:
+                fired = False  # entry opens a new episode
+            was_occupied = occupied
+            window = window[1:] + [bit]
+            if detect_thud(window, cfg):
+                last_thud = tick
+            streak = streak + 1 if geometry else 0
+            thud_recent = last_thud is not None and tick - last_thud <= confirm
+            expected = streak >= confirm and (thud_recent or not require_thud) and not fired
+            fired = fired or expected
+
+            state = occupied_state(since=0.0) if occupied else empty_state()
+            triple = (EMP, EMP, OCC) if geometry else (OCC, OCC, OCC)
+            alerts, _ = engine.fuse_tick(triple, bit, None, state, float(tick))
+            assert [a.kind for a in alerts if a.kind is AlertKind.FALL] == (
+                [AlertKind.FALL] if expected else []
+            ), tick
 
 
 class TestSafetyConfig:

@@ -544,6 +544,20 @@ class TestServerOwnErrors:
         assert headers[b"Content-Type"] == b"text/plain; charset=utf-8"
         assert text
 
+    @pytest.mark.parametrize(
+        "request_line",
+        [b"GET /nope\r\n", b"GET /channels/1/feeds.json HTTP/0.9\r\n"],
+        ids=["two-word-line", "http-0.9-version"],
+    )
+    def test_http_0_9_request_line_gets_400(self, sim_server, request_line):
+        # http.server would answer HTTP/0.9 with a bare body and no status line
+        reply = raw_exchange(sim_server, request_line + b"Host: test\r\n\r\n")
+        (status_line, headers, text), = split_answers(reply)
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert headers[b"Connection"] == b"close"
+        assert headers[b"Content-Type"] == b"text/plain; charset=utf-8"
+        assert text == b"request line must end with HTTP/1.0 or HTTP/1.1"
+
     def test_head_gets_the_headers_alone(self, sim_server):
         reply = raw_exchange(sim_server, b"HEAD /update HTTP/1.1\r\nHost: test\r\n\r\n")
         head, end, body = reply.partition(b"\r\n\r\n")
