@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import logging
+import math
 import random
 import socket
 from collections import deque
@@ -84,6 +85,10 @@ class AgentConfig:
         if self.tick_s <= 0:
             raise ValueError("tick_s must be positive")
         ratio = self.display_every_s / self.tick_s
+        if not math.isfinite(ratio):  # a subnormal tick_s overflows it
+            raise ValueError(
+                f"display_every_s / tick_s is not a finite number (tick_s = {self.tick_s!r})"
+            )
         if self.display_every_s <= 0 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("display_every_s must be a positive multiple of tick_s")
         positions = list(self.field_map)

@@ -28,6 +28,10 @@ method, an oversized header) are answered as the API's own refusals: a
 status line, a text/plain body and Connection: close. So is an HTTP/0.9
 request line, which http.server would answer with a bare body.
 
+At most MAX_HANDLERS connections are served at once, each on its own thread.
+A connection past the cap is answered 503 at once by the accepting thread,
+which then closes it, so slow clients cannot pile up threads.
+
 Feed rows are rendered once. Per channel the server keeps the JSON text of
 the rows of the last `feeds.json` page it served, keyed by entry id, and
 renders only the rows it lacks. The text cannot go stale: an entry never
@@ -53,6 +57,7 @@ logger = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 64 * 1024  # a full /update form is well under 1 KiB
 REQUEST_TIMEOUT_S = 30.0  # longest wait for a client's bytes; an answer's write gets as long
+MAX_HANDLERS = 64  # connections served at once; one more is answered 503 and closed
 
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
@@ -72,8 +77,8 @@ def _coerce(text: str):
 
 def _render_row(entry) -> str:
     row = {"created_at": entry.created_at, "entry_id": entry.entry_id}
-    for position in sorted(entry.values):
-        row[f"field{position}"] = entry.values[position]
+    for position, value in entry.values.items():  # read_feed gives them in position order
+        row[f"field{position}"] = value
     return json.dumps(row)
 
 
@@ -291,7 +296,44 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
         self.store = store
         self.sim_time = sim_time
         self.feed_rows: dict = {}  # channel id -> {entry id: row JSON} of its last page
+        self._handler_slots = threading.BoundedSemaphore(MAX_HANDLERS)
         self._thread: Optional[threading.Thread] = None
+
+    def process_request(self, request, client_address) -> None:
+        """Serve the connection on a new thread, or refuse it when all MAX_HANDLERS are busy."""
+        if not self._handler_slots.acquire(blocking=False):
+            self._refuse_busy(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._handler_slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._handler_slots.release()
+
+    def _refuse_busy(self, request) -> None:
+        """Answer 503 and close, without waiting on the client: a refusal is
+        sent from the accepting thread."""
+        body = f"server busy: {MAX_HANDLERS} connections are being served".encode("utf-8")
+        head = (
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: text/plain; charset=utf-8\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        try:
+            request.setblocking(False)  # a fresh socket's send buffer takes the answer whole
+            request.sendall(head.encode("ascii") + body)
+            # Read what has arrived, so the close sends FIN after the answer, not a reset.
+            request.recv(MAX_BODY_BYTES)
+        except OSError:
+            pass
+        self.shutdown_request(request)
 
     @property
     def url(self) -> str:

@@ -7,14 +7,28 @@ channel's minimum post interval are rejected with 0 and store nothing. Each
 channel keeps the newest value of every field as entries are appended (on
 writes and on replay alike), so reading it never walks the feed.
 
+A channel holds its entries in columns, about 120 bytes per entry of five
+small fields: an entry's id is its index plus one, `created_at` is an array
+of doubles, and `rows` holds one tuple per entry with a value for each field
+position (a private sentinel where the entry carries none). read_feed builds
+Entry objects, values in position order, only for the page asked for. Each
+channel memoises its last page of at most PAGE_MEMO_MAX entries and builds
+only the entries a new page adds, so a dashboard polling the newest page
+after each write pays for one entry.
+
 On disk each channel appends one complete JSON record per line to its own
-log file, with channel metadata appended to channels.jsonl. Recovery replays
-each log in one pass over its decoded text, building entries as it scans.
-The first record that is torn, is not JSON, or breaks an invariant the write
-path keeps (the next entry id, a finite non-decreasing created_at, field
-positions inside the schema, finite float values) marks a crashed writer:
-the log is truncated there with a warning, so the feed is always a prefix of
-what was acknowledged. close() is final: later writes raise StoreClosedError.
+log file, with channel metadata appended to channels.jsonl. Recovery reads
+each log REPLAY_CHUNK_BYTES at a time, cut after the chunk's last newline
+byte (which never sits inside a UTF-8 sequence), and scans each piece with
+the C JSON scanner, appending to the columns as it goes; the whole text is
+never held. A record that fails to scan before the end of the log is read
+again with the next chunk joined on, so a hand-written record spanning lines
+loads as it would from the whole text. The first record that is torn, is not
+JSON, or breaks an invariant the write path keeps (the next entry id, a
+finite non-decreasing created_at, field positions inside the schema, finite
+float values) marks a crashed writer: the log is truncated there with a
+warning, so the feed is always a prefix of what was acknowledged. close() is
+final: later writes raise StoreClosedError.
 
 Every refusal raises a TelemetryError subclass whose `status` is the HTTP
 status the API answers it with, so the HTTP server and the in-process
@@ -31,7 +45,9 @@ import secrets
 import string
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -42,7 +58,41 @@ KEY_ALPHABET = string.ascii_uppercase + string.digits
 MAX_FIELDS = 8
 VISIBILITIES = ("private", "shared")
 
+PAGE_MEMO_MAX = 1_000  # a longer feed page is built afresh and not kept
+REPLAY_CHUNK_BYTES = 1 << 18  # how much of a log replay reads at a time
+
 _META_FILE = "channels.jsonl"
+_ABSENT = object()  # in a row, a field position the entry does not carry
+_ABSENT_ROW = (_ABSENT,) * MAX_FIELDS
+_POSITIONS = range(1, MAX_FIELDS + 1)
+
+
+def _row_builder(keys):
+    """The function that aligns a values dict to `keys`: a tuple of the value
+    at each key in turn, _ABSENT where the dict has none.
+
+    A dict with an item per key is read in one C call, which raises KeyError
+    if it holds a key that is not in `keys`.
+    """
+    keys = tuple(keys)
+    width = len(keys)
+    if width == 1:  # an itemgetter of one key gives the value, not a tuple
+        return lambda values: (values.get(keys[0], _ABSENT),)
+    every = itemgetter(*keys)
+
+    def row_of(values: dict) -> tuple:
+        if len(values) == width:
+            return every(values)
+        return tuple(map(values.get, keys, _ABSENT_ROW))
+
+    return row_of
+
+
+def _carried(row: tuple) -> dict:
+    """Position -> value for each field a row carries, in position order."""
+    if _ABSENT in row:
+        return {pos: value for pos, value in zip(_POSITIONS, row) if value is not _ABSENT}
+    return dict(enumerate(row, 1))
 
 
 class TelemetryError(Exception):
@@ -85,14 +135,49 @@ class Channel:
     visibility: str = "private"
     shared_with: list = field(default_factory=list)
     min_post_interval_s: float = 1.0
-    entries: list = field(default_factory=list)
+    # Entry i + 1 is created_at[i] and rows[i]: a value per field position, or _ABSENT.
+    created_at: array = field(default_factory=lambda: array("d"), repr=False)
+    rows: list = field(default_factory=list, repr=False)
     last_values: dict = field(default_factory=dict)  # field position -> its newest value
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    page: tuple = field(default=(0, ()), repr=False, compare=False)  # (first index, entries)
 
-    def append(self, entry: Entry) -> None:
-        """Add the next entry; the caller holds `lock`, or replays the log alone."""
-        self.entries.append(entry)
-        self.last_values.update(entry.values)
+    def __post_init__(self) -> None:
+        self.row_of = _row_builder(range(1, len(self.field_names) + 1))
+
+    def append(self, created_at: float, row: tuple, values) -> None:
+        """Add the next entry: its row, and `values`, the (position, value)
+        items it carries, to last_values. The caller holds `lock`, or replays
+        the log alone."""
+        self.created_at.append(created_at)
+        self.rows.append(row)
+        self.last_values.update(values)
+
+    def entries(self, start: int, stop: int) -> list:
+        """Entry objects for indices start..stop-1, values in position order."""
+        created_at, rows = self.created_at, self.rows
+        return [Entry(i + 1, created_at[i], _carried(rows[i])) for i in range(start, stop)]
+
+    def last_page(self, results: int) -> list:
+        """The newest `results` entries, oldest first; the caller holds `lock`.
+
+        Entries on the memoised page are reused, since an entry never changes
+        once appended; only the rest are built.
+        """
+        stop = len(self.rows)
+        start = max(stop - results, 0)
+        if stop - start > PAGE_MEMO_MAX:
+            return self.entries(start, stop)
+        first, memo = self.page
+        end = first + len(memo)  # never past stop: entries are only appended
+        if start == first and stop == end:
+            return list(memo)
+        if start >= first:
+            page = [*memo[start - first :], *self.entries(max(start, end), stop)]
+        else:
+            page = [*self.entries(start, first), *memo, *self.entries(end, stop)]
+        self.page = (start, tuple(page))
+        return page
 
     def meta(self) -> dict:
         return {
@@ -138,32 +223,13 @@ def _replay_log(path: Path, accept) -> None:
     is a prefix of what was written.
     """
     try:
-        raw = path.read_bytes()
+        fh = path.open("rb")
     except FileNotFoundError:
         return
-    reason = None
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Scan what decodes; the line holding the bad byte is the torn point.
-        text = raw[: exc.start].decode("utf-8")
-        reason = "not UTF-8"
-    del raw  # the scan needs only the text; free the bytes before entries pile up
-    pos = 0
-    try:
-        while pos < len(text):
-            record, end = _scan_record(text, pos)
-            if not text.startswith("\n", end):
-                raise ValueError("record does not end its line")
-            accept(record)
-            pos = end + 1
-    except StopIteration:
-        reason = "no JSON value"
-    except (KeyError, TypeError, ValueError) as exc:
-        reason = repr(exc)
+    with fh:
+        reason, good_end = _scan_log(fh, accept)
     if reason is None:
         return
-    good_end = len(text[:pos].encode("utf-8"))
     logger.warning(
         "truncating %s at byte %d: bad record (%s) and all after it dropped",
         path,
@@ -174,10 +240,62 @@ def _replay_log(path: Path, accept) -> None:
         fh.truncate(good_end)
 
 
+def _scan_log(fh, accept) -> tuple:
+    """(None, None) for a whole log, else (reason, byte offset of the torn point).
+
+    Each piece handed to the scanner ends after a newline byte, or at the end
+    of the log. A record that fails to scan before the end is carried into
+    the next piece, so it is judged on the text that follows it, as a scan of
+    the whole log would judge it.
+    """
+    base = 0  # file offset of buf[0]
+    buf = b""
+    while True:
+        chunk = fh.read(REPLAY_CHUNK_BYTES)
+        buf += chunk
+        final = not chunk
+        cut = len(buf) if final else buf.rfind(b"\n") + 1
+        if not (cut or final):
+            continue  # no line ends in what was read yet
+        reason = None
+        try:
+            text = buf[:cut].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Scan what decodes; the line holding the bad byte is the torn point.
+            text = buf[: exc.start].decode("utf-8")
+            reason, final = "not UTF-8", True
+        pos = 0
+        try:
+            while pos < len(text):
+                try:
+                    record, end = _scan_record(text, pos)
+                except (StopIteration, ValueError):
+                    if final:
+                        raise
+                    break  # perhaps a record spanning lines: judge it with the next chunk
+                if not text.startswith("\n", end):
+                    raise ValueError("record does not end its line")
+                accept(record)
+                pos = end + 1
+        except StopIteration:
+            reason = "no JSON value"
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = repr(exc)
+        if reason is not None:
+            return reason, base + len(text[:pos].encode("utf-8"))
+        if final:
+            return None, None
+        done = cut if pos == len(text) else len(text[:pos].encode("utf-8"))
+        buf = buf[done:]
+        base += done
+
+
 def _entry_loader(channel: "Channel"):
-    """The `accept` that appends one channel's log records to its entries."""
-    positions = {str(pos): pos for pos in range(1, len(channel.field_names) + 1)}
-    entries = channel.entries
+    """The `accept` that appends one channel's log records to its columns."""
+    width = len(channel.field_names)
+    row_of = _row_builder(str(pos) for pos in range(1, width + 1))
+    created = channel.created_at
+    rows = channel.rows
     append = channel.append
     isfinite = math.isfinite
 
@@ -187,21 +305,24 @@ def _entry_loader(channel: "Channel"):
         entry_id = record["entry_id"]
         created_at = record["created_at"]
         raw_values = record["values"]
-        if type(entry_id) is not int or entry_id != len(entries) + 1:
-            raise ValueError(f"entry_id {entry_id!r} where {len(entries) + 1} is next")
+        if type(entry_id) is not int or entry_id != len(rows) + 1:
+            raise ValueError(f"entry_id {entry_id!r} where {len(rows) + 1} is next")
         if (
             type(created_at) is not float
             or not isfinite(created_at)
-            or (entries and created_at < entries[-1].created_at)
+            or (rows and created_at < created[-1])
         ):
             raise ValueError(f"created_at {created_at!r} is not finite and non-decreasing")
         if type(raw_values) is not dict or not raw_values:
             raise ValueError("values is not a non-empty object")
-        values = {positions[pos]: value for pos, value in raw_values.items()}
-        for value in values.values():
+        row = row_of(raw_values)
+        missing = row.count(_ABSENT)
+        if len(raw_values) + missing != width:
+            raise ValueError(f"a field position in {list(raw_values)} is outside the schema")
+        for value in row:
             if type(value) is float and not isfinite(value):
                 raise ValueError("a float value is not finite")
-        append(Entry(entry_id, created_at, values))
+        append(created_at, row, _carried(row) if missing else enumerate(row, 1))
 
     return accept
 
@@ -315,27 +436,27 @@ class TelemetryStore:
             created_at = float(created_at)
             if not math.isfinite(created_at):
                 raise ValidationError("created_at must be finite")
+        row = channel.row_of(values)
         with channel.lock:
             self._check_open()
             stamp = time.time() if created_at is None else created_at
-            if channel.entries:
-                earliest = channel.entries[-1].created_at + channel.min_post_interval_s
-                if stamp < earliest:
-                    return 0
-            entry = Entry(len(channel.entries) + 1, stamp, dict(values))
-            self._persist_entry(channel, entry)
-            channel.append(entry)
-        return entry.entry_id
+            stamps = channel.created_at
+            if stamps and stamp < stamps[-1] + channel.min_post_interval_s:
+                return 0
+            entry_id = len(stamps) + 1
+            self._persist_entry(channel, entry_id, stamp, values)
+            channel.append(stamp, row, values)
+        return entry_id
 
     def read_feed(
         self, channel_id: int, read_key: str, results: int, user: Optional[str] = None
     ) -> list:
-        """The last `results` accepted entries, oldest first."""
+        """The last `results` accepted entries, oldest first, values in position order."""
         if results < 1:
             raise ValidationError("results must be >= 1")
         channel = self._readable_channel(channel_id, read_key, user)
         with channel.lock:
-            return list(channel.entries[-results:])
+            return channel.last_page(results)
 
     def read_last_field(
         self, channel_id: int, read_key: str, field_position: int, user: Optional[str] = None
@@ -371,7 +492,9 @@ class TelemetryStore:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def _persist_entry(self, channel: Channel, entry: Entry) -> None:
+    def _persist_entry(
+        self, channel: Channel, entry_id: int, created_at: float, values: dict
+    ) -> None:
         if self._dir is None:
             return
         fh = self._files.get(channel.channel_id)
@@ -379,9 +502,9 @@ class TelemetryStore:
             fh = self._entry_log_path(channel.channel_id).open("ab")
             self._files[channel.channel_id] = fh
         record = {
-            "entry_id": entry.entry_id,
-            "created_at": entry.created_at,
-            "values": {str(pos): val for pos, val in entry.values.items()},
+            "entry_id": entry_id,
+            "created_at": created_at,
+            "values": {str(pos): val for pos, val in values.items()},
         }
         fh.write(json.dumps(record).encode("utf-8") + b"\n")
         fh.flush()

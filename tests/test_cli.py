@@ -54,6 +54,8 @@ BAD_CONFIG_LINES = {
     # both loaded, then crashed the run (exit 2); min_range once noise went below 0
     "sound_threshold = 2": "sound_threshold must lie in [0, 1]",
     "min_range = -10": "min_range must be >= 0",
+    # display_every_s / tick_s overflowed to inf, and round(inf) crashed the run (exit 2)
+    "tick_s = 1e-320": "display_every_s / tick_s is not a finite number",
 }
 
 

@@ -600,3 +600,86 @@ class TestSlowClients:
             assert client.post_update(ch["write_key"], {1: 9}, 1.0) == ("200 OK", 2)
         finally:
             client.close()
+
+
+@pytest.fixture
+def two_handler_server(monkeypatch, tmp_path):
+    """A sim-time server that serves at most two connections at once, and its store."""
+    monkeypatch.setattr(server_module, "MAX_HANDLERS", 2)
+    store = TelemetryStore(tmp_path / "capped-data")
+    server = server_module.TelemetryHTTPServer(store, sim_time=True).start()
+    yield server, store
+    server.stop()
+    store.close()
+
+
+def busy_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes.
+
+    Unlike raw_exchange, the request stream is not ended first: a refused
+    connection may be closed before the client gets to end it.
+    """
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(request)
+        return read_until_closed(sock)
+
+
+def held_connection(server, path: str, deadline_s: float = 5.0) -> http.client.HTTPConnection:
+    """A keep-alive connection whose GET of `path` was answered 200.
+
+    A handler frees its slot just after it closes its socket, so a connection
+    made at once after may still get the busy 503; it is retried until served.
+    """
+    host, port = server.server_address[:2]
+    deadline = time.monotonic() + deadline_s
+    while True:
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        conn.request("GET", path)
+        response = conn.getresponse()
+        if response.status != 503 or time.monotonic() > deadline:
+            assert response.status == 200, response.read()
+            response.read()
+            return conn
+        conn.close()
+        time.sleep(0.01)
+
+
+class TestHandlerCap:
+    def test_the_cap(self):
+        assert server_module.MAX_HANDLERS == 64
+
+    def test_a_connection_past_the_cap_gets_503_and_service_resumes(self, two_handler_server):
+        server, store = two_handler_server
+        ch = store.create_channel("shower", ["distance"])
+        store.write_update(ch.write_key, {1: 8}, 0.0)
+        last = f"/channels/{ch.channel_id}/fields/1/last.txt?api_key={ch.read_key}"
+        request = f"GET {last} HTTP/1.1\r\nHost: test\r\n\r\n".encode("ascii")
+        busy = (b"HTTP/1.1 503 Service Unavailable", b"server busy: 2 connections are being served")
+
+        stalled = [socket.create_connection(server.server_address[:2], timeout=5) for _ in range(2)]
+        try:
+            for sock in stalled:  # each holds a handler, waiting for the rest of its body
+                sock.sendall(b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: 10\r\n\r\napi")
+            (status_line, headers, text), = split_answers(busy_exchange(server, request))
+            assert (status_line, text) == busy
+            assert headers[b"Connection"] == b"close"
+            assert headers[b"Content-Type"] == b"text/plain; charset=utf-8"
+            for sock in stalled:  # end the bodies early, well before the 30 s timeout
+                sock.shutdown(socket.SHUT_WR)
+                (status_line, _, _), = split_answers(read_until_closed(sock))
+                assert status_line == b"HTTP/1.1 400 Bad Request"
+        finally:
+            for sock in stalled:
+                sock.close()
+
+        held = [held_connection(server, last) for _ in range(2)]  # both slots came back
+        try:
+            (status_line, _, text), = split_answers(busy_exchange(server, request))
+            assert (status_line, text) == busy
+            for conn in held:  # and a held connection keeps being served
+                conn.request("GET", last)
+                response = conn.getresponse()
+                assert (response.status, response.read()) == (200, b"8")
+        finally:
+            for conn in held:
+                conn.close()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import json
 import logging
 import random
 import re
@@ -8,13 +10,15 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from showersim.telemetry import store as store_module
 from showersim.telemetry.store import (
     AuthenticationError,
     Entry,
@@ -189,6 +193,22 @@ class TestReadFeed:
         with pytest.raises(AuthenticationError):
             store.read_feed(ch.channel_id, "", 1, user="stranger")
 
+    def test_values_come_in_position_order_and_the_log_keeps_the_callers(self, store, tmp_path):
+        ch = make_channel(store)
+        store.write_update(ch.write_key, {3: "wet", 1: 8}, 0.0)
+        (entry,) = store.read_feed(ch.channel_id, ch.read_key, 1)
+        assert list(entry.values.items()) == [(1, 8), (3, "wet")]
+        log = tmp_path / "data" / f"channel-{ch.channel_id}.log"
+        assert log.read_bytes() == b'{"entry_id": 1, "created_at": 0.0, "values": {"3": "wet", "1": 8}}\n'
+
+    def test_a_channel_repr_leaves_out_its_feed(self, store):
+        ch = make_channel(store)
+        store.write_update(ch.write_key, {1: 111111}, 0.0)
+        store.write_update(ch.write_key, {1: 222222}, 1.0)
+        store.read_feed(ch.channel_id, ch.read_key, 2)  # fills the page memo
+        assert "111111" not in repr(ch)
+        assert "last_values={1: 222222}" in repr(ch)
+
 
 class TestReadLastField:
     def test_newest_value(self, store):
@@ -215,7 +235,7 @@ class TestReadLastField:
     def test_reads_without_scanning_the_feed(self, store):
         ch = make_channel(store)
         store.write_update(ch.write_key, {1: 8, 2: 25}, 0.0)
-        ch.entries = UnscannableList(ch.entries)
+        ch.rows = UnscannableList(ch.rows)
         store.write_update(ch.write_key, {1: 74}, 1.0)
         last = [store.read_last_field(ch.channel_id, ch.read_key, pos) for pos in (1, 2, 3)]
         assert last == [74, 25, None]
@@ -692,3 +712,212 @@ TestFileStoreAgainstMemoryModel = FileStoreAgainstMemoryModel.TestCase
 TestFileStoreAgainstMemoryModel.settings = settings(
     max_examples=40, stateful_step_count=20, deadline=None
 )
+
+
+class TestEntryMemory:
+    def test_an_entry_costs_at_most_160_traced_bytes(self):
+        # An Entry with its own values dict cost about 385 bytes here.
+        store = TelemetryStore()
+        ch = store.create_channel("shower", ["f1", "f2", "f3", "f4", "f5"], min_post_interval_s=0.0)
+        count = 20_000
+        payloads = [{1: i % 200, 2: 20 + i % 7, 3: 50, 4: i % 4, 5: 0} for i in range(count)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, values in enumerate(payloads):
+                store.write_update(ch.write_key, values, float(i))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert store.read_feed(ch.channel_id, ch.read_key, 1)[0].entry_id == count
+        assert grown / count <= 160
+
+
+PAGE_FIELDS = 4
+sparse_payloads = st.dictionaries(
+    st.integers(1, PAGE_FIELDS),
+    st.one_of(st.integers(-300, 300), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3)),
+    min_size=1,
+)
+page_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 2), sparse_payloads),
+        st.tuples(st.just("read"), st.integers(0, 2), st.integers(1, 30)),
+    ),
+    max_size=80,
+)
+
+
+def built_from_scratch(written) -> list:
+    """Entry objects for (created_at, values) writes, values in position order."""
+    return [
+        Entry(i + 1, created_at, {pos: values[pos] for pos in sorted(values)})
+        for i, (created_at, values) in enumerate(written)
+    ]
+
+
+def page_channels(store, count=3) -> list:
+    fields = [f"f{pos}" for pos in range(1, PAGE_FIELDS + 1)]
+    return [store.create_channel(f"c{i}", fields, min_post_interval_s=0.0) for i in range(count)]
+
+
+class TestFeedPages:
+    """read_feed pages, partly reused from each channel's page memo, equal a
+    from-scratch build of the Entry objects."""
+
+    @given(ops=page_ops, cap=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_pages_equal_a_from_scratch_build(self, ops, cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(store_module, "PAGE_MEMO_MAX", cap)
+            store = TelemetryStore()
+            channels = page_channels(store)
+            written = [[] for _ in channels]
+            for op, index, arg in ops:
+                ch, mine = channels[index], written[index]
+                if op == "write":
+                    assert store.write_update(ch.write_key, arg, float(len(mine))) == len(mine) + 1
+                    mine.append((float(len(mine)), arg))
+                    continue
+                page = store.read_feed(ch.channel_id, ch.read_key, arg)
+                assert repr(page) == repr(built_from_scratch(mine)[-arg:])  # repr tells 1 from 1.0
+                assert len(ch.page[1]) <= cap  # a longer page is never kept
+                page.clear()  # the caller owns the list; the memo must not share it
+
+    @given(
+        payloads=st.lists(st.tuples(st.integers(0, 1), sparse_payloads), min_size=1, max_size=150),
+        windows=st.lists(st.lists(st.integers(1, 25), min_size=1, max_size=30), min_size=2, max_size=2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_two_readers_beside_a_writer_see_consistent_pages(self, payloads, windows):
+        store = TelemetryStore()
+        channels = page_channels(store, 2)
+        written = [[], []]
+        for index, values in payloads:
+            written[index].append((float(len(written[index])), values))
+        expected = [built_from_scratch(mine) for mine in written]
+        errors = []
+
+        def writer():
+            for index, mine in enumerate(written):
+                for created_at, values in mine:
+                    store.write_update(channels[index].write_key, values, created_at)
+
+        def reader(sizes):
+            newest = [0, 0]
+            try:
+                for _ in range(5):
+                    for step, results in enumerate(sizes):
+                        index = step % 2
+                        ch = channels[index]
+                        page = store.read_feed(ch.channel_id, ch.read_key, results)
+                        top = page[-1].entry_id if page else 0
+                        assert len(page) == min(results, top)
+                        assert top >= newest[index]
+                        newest[index] = top
+                        assert repr(page) == repr(expected[index][top - len(page) : top])
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)]
+            threads += [threading.Thread(target=reader, args=(sizes,)) for sizes in windows]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for index, ch in enumerate(channels):
+            assert repr(store.read_feed(ch.channel_id, ch.read_key, 1000)) == repr(expected[index])
+
+
+def hand_record(entry_id: int, value) -> bytes:
+    """A log line as a hand editor might write it: raw UTF-8, no escapes."""
+    record = {"entry_id": entry_id, "created_at": float(entry_id), "values": {"1": value}}
+    return json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n"
+
+
+MULTI_LINE_RECORD = b'{"entry_id": 2,\n "created_at": 2.0,\n\n "values": {"1": "two\\nlines"}\n}\n'
+LONG_TEXT = "x" * 150 + "é"
+# case -> (log bytes, values of the entries that load, bytes the log keeps).
+# The expected entries and kept lengths are what the store gave when it
+# decoded and scanned each log as one text.
+CHUNKED_REPLAY_CASES = {
+    "multibyte-characters": (
+        hand_record(1, "温度") + hand_record(2, "café 🚿") + hand_record(3, LONG_TEXT),
+        ["温度", "café 🚿", LONG_TEXT],
+        336,
+    ),
+    "bad-utf8-byte": (
+        hand_record(1, "ok") + hand_record(2, "café").replace("é".encode(), b"\xe9") + hand_record(3, "ok"),
+        ["ok"],
+        58,
+    ),
+    "bad-utf8-byte-starts-a-line": (hand_record(1, "ok") + b"\xff\n" + hand_record(2, "ok"), ["ok"], 58),
+    "torn-tail-without-newline": (
+        hand_record(1, "ok") + hand_record(2, "温度") + hand_record(3, "ok")[:-1],
+        ["ok", "温度"],
+        120,
+    ),
+    "torn-tail-mid-json": (
+        hand_record(1, "ok") + hand_record(2, "ok") + hand_record(3, "ok")[:20],
+        ["ok", "ok"],
+        116,
+    ),
+    "torn-tail-mid-character": (hand_record(1, "ok") + hand_record(2, "温度")[:-6], ["ok"], 58),
+    "multi-line-record": (
+        hand_record(1, "ok") + MULTI_LINE_RECORD + hand_record(3, "温度"),
+        ["ok", "two\nlines", "温度"],
+        190,
+    ),
+    "multi-line-record-torn-at-the-end": (hand_record(1, "ok") + MULTI_LINE_RECORD[:30], ["ok"], 58),
+    "multi-line-record-then-garbage": (
+        hand_record(1, "ok") + MULTI_LINE_RECORD + b'{"entry_id": 3, garbage\n' + hand_record(3, "ok"),
+        ["ok", "two\nlines"],
+        128,
+    ),
+    "blank-line": (hand_record(1, "ok") + b"\n" + hand_record(2, "ok"), ["ok"], 58),
+    "junk-after-a-record": (
+        hand_record(1, "ok") + hand_record(2, "ok")[:-1] + b" x\n" + hand_record(3, "ok"),
+        ["ok"],
+        58,
+    ),
+    "empty-log": (b"", [], 0),
+}
+
+
+class TestChunkedReplay:
+    """A log read a few bytes at a time loads the same entries and is cut at
+    the same byte as when it was decoded and scanned whole."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64, None], ids=lambda c: f"chunk-{c or 'default'}")
+    @pytest.mark.parametrize("case", list(CHUNKED_REPLAY_CASES))
+    def test_same_entries_and_same_cut(self, tmp_path, monkeypatch, case, chunk):
+        log_bytes, values, kept = CHUNKED_REPLAY_CASES[case]
+        if chunk is not None:
+            monkeypatch.setattr(store_module, "REPLAY_CHUNK_BYTES", chunk)
+        data = tmp_path / "data"
+        first = TelemetryStore(data)
+        ch = first.create_channel("shower", ["note"])
+        first.close()
+        log = data / f"channel-{ch.channel_id}.log"
+        log.write_bytes(log_bytes)
+        store = TelemetryStore(data)  # channels.jsonl is read in chunks too
+        try:
+            feed = store.read_feed(ch.channel_id, ch.read_key, 100)
+            assert feed == [Entry(i, float(i), {1: value}) for i, value in enumerate(values, 1)]
+            assert log.read_bytes() == log_bytes[:kept]
+            assert store.write_update(ch.write_key, {1: "next"}, 10.0) == len(values) + 1
+        finally:
+            store.close()
+
+    def test_the_chunk_and_memo_sizes(self):
+        assert store_module.REPLAY_CHUNK_BYTES == 1 << 18
+        assert store_module.PAGE_MEMO_MAX == 1_000
