@@ -18,17 +18,15 @@ after each write pays for one entry.
 
 On disk each channel appends one complete JSON record per line to its own
 log file, with channel metadata appended to channels.jsonl. Recovery reads
-each log REPLAY_CHUNK_BYTES at a time, cut after the chunk's last newline
-byte (which never sits inside a UTF-8 sequence), and scans each piece with
-the C JSON scanner, appending to the columns as it goes; the whole text is
-never held. A record that fails to scan before the end of the log is read
-again with the next chunk joined on, so a hand-written record spanning lines
-loads as it would from the whole text. The first record that is torn, is not
-JSON, or breaks an invariant the write path keeps (the next entry id, a
-finite non-decreasing created_at, field positions inside the schema, finite
-float values) marks a crashed writer: the log is truncated there with a
-warning, so the feed is always a prefix of what was acknowledged. close() is
-final: later writes raise StoreClosedError.
+each log a line at a time and scans the line with the C JSON scanner,
+appending to the columns as it goes; the whole text is never held. The first
+line that is not one JSON value ending in its newline (a torn record, a
+record spanning lines, nesting too deep to scan, bytes that are not UTF-8 or
+JSON), or whose record breaks an invariant the write path keeps (the next
+entry id, a finite non-decreasing created_at, field positions inside the
+schema, finite float values), marks a crashed writer: the log is truncated
+at that line with a warning, so the feed is always a prefix of what was
+acknowledged. close() is final: later writes raise StoreClosedError.
 
 Every refusal raises a TelemetryError subclass whose `status` is the HTTP
 status the API answers it with, so the HTTP server and the in-process
@@ -59,7 +57,6 @@ MAX_FIELDS = 8
 VISIBILITIES = ("private", "shared")
 
 PAGE_MEMO_MAX = 1_000  # a longer feed page is built afresh and not kept
-REPLAY_CHUNK_BYTES = 1 << 18  # how much of a log replay reads at a time
 
 _META_FILE = "channels.jsonl"
 _ABSENT = object()  # in a row, a field position the entry does not carry
@@ -215,21 +212,39 @@ _scan_record = json.JSONDecoder(parse_constant=_refuse_constant).scan_once
 
 
 def _replay_log(path: Path, accept) -> None:
-    """Hand each record of a JSON-lines log to `accept`, oldest first.
+    """Hand the record on each line of a JSON-lines log to `accept`, oldest first.
 
-    The first record that is torn, is not one JSON value ending its line, or
-    that `accept` refuses by raising KeyError, TypeError or ValueError marks
-    the torn point: the file is truncated there with a warning, so what stays
-    is a prefix of what was written.
+    Each line must hold exactly one JSON value followed by its newline. The
+    first line that does not, or whose record `accept` refuses by raising
+    KeyError, TypeError or ValueError, marks the torn point: the file is
+    truncated at that line's first byte with a warning, so what stays is a
+    prefix of what was written.
     """
     try:
         fh = path.open("rb")
     except FileNotFoundError:
         return
+    good_end = 0  # byte offset of the line being read: where a torn log is cut
     with fh:
-        reason, good_end = _scan_log(fh, accept)
-    if reason is None:
-        return
+        for line in fh:
+            try:
+                text = line.decode("utf-8")
+                record, end = _scan_record(text, 0)
+                if not text.startswith("\n", end):
+                    raise ValueError("record does not end its line")
+                accept(record)
+            except UnicodeDecodeError:
+                reason = "not UTF-8"
+                break
+            except StopIteration:
+                reason = "no JSON value"
+                break
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                reason = repr(exc)  # RecursionError: nesting too deep for the C scanner
+                break
+            good_end += len(line)
+        else:
+            return
     logger.warning(
         "truncating %s at byte %d: bad record (%s) and all after it dropped",
         path,
@@ -238,56 +253,6 @@ def _replay_log(path: Path, accept) -> None:
     )
     with path.open("r+b") as fh:
         fh.truncate(good_end)
-
-
-def _scan_log(fh, accept) -> tuple:
-    """(None, None) for a whole log, else (reason, byte offset of the torn point).
-
-    Each piece handed to the scanner ends after a newline byte, or at the end
-    of the log. A record that fails to scan before the end is carried into
-    the next piece, so it is judged on the text that follows it, as a scan of
-    the whole log would judge it.
-    """
-    base = 0  # file offset of buf[0]
-    buf = b""
-    while True:
-        chunk = fh.read(REPLAY_CHUNK_BYTES)
-        buf += chunk
-        final = not chunk
-        cut = len(buf) if final else buf.rfind(b"\n") + 1
-        if not (cut or final):
-            continue  # no line ends in what was read yet
-        reason = None
-        try:
-            text = buf[:cut].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # Scan what decodes; the line holding the bad byte is the torn point.
-            text = buf[: exc.start].decode("utf-8")
-            reason, final = "not UTF-8", True
-        pos = 0
-        try:
-            while pos < len(text):
-                try:
-                    record, end = _scan_record(text, pos)
-                except (StopIteration, ValueError):
-                    if final:
-                        raise
-                    break  # perhaps a record spanning lines: judge it with the next chunk
-                if not text.startswith("\n", end):
-                    raise ValueError("record does not end its line")
-                accept(record)
-                pos = end + 1
-        except StopIteration:
-            reason = "no JSON value"
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = repr(exc)
-        if reason is not None:
-            return reason, base + len(text[:pos].encode("utf-8"))
-        if final:
-            return None, None
-        done = cut if pos == len(text) else len(text[:pos].encode("utf-8"))
-        buf = buf[done:]
-        base += done
 
 
 def _entry_loader(channel: "Channel"):
@@ -382,6 +347,10 @@ class TelemetryStore:
         with self._lock:
             self._check_open()
             channel_id = max(self._channels, default=0) + 1
+            while self._dir is not None and (log := self._entry_log_path(channel_id)).exists():
+                # A log whose channel metadata was torn away: a new channel never adopts it.
+                logger.warning("%s belongs to no channel: id %d is not reused", log, channel_id)
+                channel_id += 1
             channel = Channel(
                 channel_id=channel_id,
                 name=name,
@@ -418,20 +387,28 @@ class TelemetryStore:
 
         With created_at=None the entry is stamped with the store clock at
         commit time, under the channel lock, so concurrent writers can never
-        produce out-of-order timestamps. A NaN or infinite created_at or float
-        value raises ValidationError, and a write after close() raises
-        StoreClosedError; neither stores anything.
+        produce out-of-order timestamps. A field position that is not an int
+        inside the schema (a bool is refused), a value that is not an int, a
+        float or a str (the types the HTTP API parses), or a NaN or infinite
+        created_at or float value raises ValidationError, and a write after
+        close() raises StoreClosedError; neither stores anything, and so
+        every acknowledged entry replays from the log as it was written.
         """
         channel = self._by_write_key.get(write_key)
         if channel is None:
             raise AuthenticationError("invalid key")
         if not values:
             raise ValidationError("no field values supplied")
+        width = len(channel.field_names)
         for pos, value in values.items():
-            if not isinstance(pos, int) or not 1 <= pos <= len(channel.field_names):
-                raise ValidationError(f"field position {pos} outside the channel schema")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"field{pos} must be finite")
+            if type(pos) is not int or not 1 <= pos <= width:
+                raise ValidationError(f"field position {pos!r} outside the channel schema")
+            kind = type(value)
+            if kind is float:
+                if not math.isfinite(value):
+                    raise ValidationError(f"field{pos} must be finite")
+            elif kind is not int and kind is not str:
+                raise ValidationError(f"field{pos} must be an int, a float or text")
         if created_at is not None:
             created_at = float(created_at)
             if not math.isfinite(created_at):

@@ -11,6 +11,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import unittest
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from showersim.telemetry.store import (
     Entry,
     NotFoundError,
     StoreClosedError,
+    TelemetryError,
     TelemetryStore,
     ValidationError,
 )
@@ -137,6 +139,85 @@ class TestWriteUpdate:
         with pytest.raises(ValidationError):
             store.write_update(ch.write_key, {1: 1, 2: value}, 0.0)
         assert store.read_feed(ch.channel_id, ch.read_key, 10) == []
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {True: 5},
+            {False: 5},
+            {1.0: 5},
+            {"1": 5},
+            {None: 5},
+            {1: [float("nan")]},
+            {1: [float("inf")]},
+            {1: [1]},
+            {1: (1,)},
+            {1: {"a": 1}},
+            {1: None},
+            {1: True},
+            {1: b"5"},
+            {1: 1j},
+        ],
+        ids=[
+            "bool-position",
+            "false-position",
+            "float-position",
+            "str-position",
+            "none-position",
+            "list-of-nan",
+            "list-of-inf",
+            "list",
+            "tuple",
+            "dict",
+            "none",
+            "bool",
+            "bytes",
+            "complex",
+        ],
+    )
+    def test_a_write_the_api_cannot_make_is_refused(self, store, tmp_path, values):
+        # The log cannot replay such an entry (a bool position is written as
+        # "True", a NaN in a list as NaN), so its replay would cut the log there
+        # and lose every entry after it.
+        ch = make_channel(store)
+        with pytest.raises(ValidationError):
+            store.write_update(ch.write_key, values, 0.0)
+        assert store.write_update(ch.write_key, {1: 6}, 1.0) == 1
+        reopened = TelemetryStore(tmp_path / "data")
+        try:
+            assert reopened.read_feed(ch.channel_id, ch.read_key, 10) == [Entry(1, 1.0, {1: 6})]
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -7, 2**62, 1.5, -0.0, 1e308, "", "温度 🚿", "a\nb", "\u2028", "\x85"],
+        ids=[
+            "zero",
+            "negative",
+            "big-int",
+            "float",
+            "negative-zero",
+            "huge-float",
+            "empty-text",
+            "non-ascii-text",
+            "text-with-newline",
+            "line-separator",
+            "next-line",
+        ],
+    )
+    def test_a_value_the_api_can_send_replays_as_written(self, store, tmp_path, value):
+        # Text holding a line break still makes one record on one log line.
+        ch = make_channel(store)
+        assert store.write_update(ch.write_key, {1: value, 2: 1}, 0.0) == 1
+        assert store.write_update(ch.write_key, {1: 2}, 1.0) == 2
+        expected = [Entry(1, 0.0, {1: value, 2: 1}), Entry(2, 1.0, {1: 2})]
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            reopened = TelemetryStore(tmp_path / "data")
+        try:
+            assert repr(reopened.read_feed(ch.channel_id, ch.read_key, 10)) == repr(expected)
+        finally:
+            reopened.close()
 
     def test_inf_write_does_not_brick_channel(self, store):
         ch = make_channel(store)
@@ -317,6 +398,36 @@ class TestRecovery:
         second = TelemetryStore(data)
         assert len(second.read_feed(ch.channel_id, ch.read_key, 10)) == 1
         second.close()
+
+    def test_a_new_channel_never_adopts_a_dropped_channels_log(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        first = TelemetryStore(data)
+        first.create_channel("kept", ["distance"])
+        dropped = first.create_channel("dropped", ["distance"])
+        for i in range(3):
+            first.write_update(dropped.write_key, {1: i}, float(i))
+        first.close()
+        meta = data / "channels.jsonl"
+        raw = meta.read_bytes()
+        meta.write_bytes(raw[: raw.index(b"\n") + 20])  # tear channel 2's line
+        orphan = (data / "channel-2.log").read_bytes()
+
+        second = TelemetryStore(data)
+        with pytest.raises(NotFoundError):
+            second.channel(2)
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            ch = second.create_channel("new", ["distance"])
+        assert ch.channel_id == 3
+        assert "id 2 is not reused" in caplog.text
+        assert second.write_update(ch.write_key, {1: 99}, 50.0) == 1
+        second.close()
+
+        third = TelemetryStore(data)
+        try:
+            assert third.read_feed(ch.channel_id, ch.read_key, 10) == [Entry(1, 50.0, {1: 99})]
+            assert (data / "channel-2.log").read_bytes() == orphan
+        finally:
+            third.close()
 
 
 class TestAgainstReferenceModel:
@@ -714,6 +825,50 @@ TestFileStoreAgainstMemoryModel.settings = settings(
 )
 
 
+any_positions = st.one_of(st.integers(-1, len(FIELDS) + 1), st.booleans(), st.floats(), st.text(max_size=2))
+any_values = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2), st.none()), max_size=3),
+    st.none(),
+)
+
+
+class TestAcknowledgedMeansReplayable:
+    @given(writes=st.lists(st.dictionaries(any_positions, any_values, max_size=3), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_reopening_gives_exactly_the_acknowledged_feed(self, writes):
+        data = Path(tempfile.mkdtemp(prefix="store-acked-"))
+        try:
+            store = TelemetryStore(data)
+            ch = store.create_channel("shower", list(FIELDS))
+            acknowledged = []
+            for values in writes:
+                created_at = float(len(acknowledged))
+                log_bytes = sum(path.stat().st_size for path in data.iterdir())
+                try:
+                    entry_id = store.write_update(ch.write_key, values, created_at)
+                except TelemetryError:
+                    assert sum(path.stat().st_size for path in data.iterdir()) == log_bytes
+                else:
+                    assert entry_id == len(acknowledged) + 1
+                    acknowledged.append((created_at, values))
+                feed = store.read_feed(ch.channel_id, ch.read_key, 100)
+                assert repr(feed) == repr(built_from_scratch(acknowledged))  # repr tells 1 from 1.0
+            store.close()
+            with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+                reopened = TelemetryStore(data)
+            try:
+                feed = reopened.read_feed(ch.channel_id, ch.read_key, 100)
+                assert repr(feed) == repr(built_from_scratch(acknowledged))
+            finally:
+                reopened.close()
+        finally:
+            shutil.rmtree(data, ignore_errors=True)
+
+
 class TestEntryMemory:
     def test_an_entry_costs_at_most_160_traced_bytes(self):
         # An Entry with its own values dict cost about 385 bytes here.
@@ -847,9 +1002,7 @@ def hand_record(entry_id: int, value) -> bytes:
 MULTI_LINE_RECORD = b'{"entry_id": 2,\n "created_at": 2.0,\n\n "values": {"1": "two\\nlines"}\n}\n'
 LONG_TEXT = "x" * 150 + "é"
 # case -> (log bytes, values of the entries that load, bytes the log keeps).
-# The expected entries and kept lengths are what the store gave when it
-# decoded and scanned each log as one text.
-CHUNKED_REPLAY_CASES = {
+REPLAY_CASES = {
     "multibyte-characters": (
         hand_record(1, "温度") + hand_record(2, "café 🚿") + hand_record(3, LONG_TEXT),
         ["温度", "café 🚿", LONG_TEXT],
@@ -872,16 +1025,13 @@ CHUNKED_REPLAY_CASES = {
         116,
     ),
     "torn-tail-mid-character": (hand_record(1, "ok") + hand_record(2, "温度")[:-6], ["ok"], 58),
-    "multi-line-record": (
-        hand_record(1, "ok") + MULTI_LINE_RECORD + hand_record(3, "温度"),
-        ["ok", "two\nlines", "温度"],
-        190,
-    ),
+    # The write path puts each record on one line, so one that spans lines is torn.
+    "multi-line-record": (hand_record(1, "ok") + MULTI_LINE_RECORD + hand_record(3, "温度"), ["ok"], 58),
     "multi-line-record-torn-at-the-end": (hand_record(1, "ok") + MULTI_LINE_RECORD[:30], ["ok"], 58),
     "multi-line-record-then-garbage": (
         hand_record(1, "ok") + MULTI_LINE_RECORD + b'{"entry_id": 3, garbage\n' + hand_record(3, "ok"),
-        ["ok", "two\nlines"],
-        128,
+        ["ok"],
+        58,
     ),
     "blank-line": (hand_record(1, "ok") + b"\n" + hand_record(2, "ok"), ["ok"], 58),
     "junk-after-a-record": (
@@ -889,27 +1039,32 @@ CHUNKED_REPLAY_CASES = {
         ["ok"],
         58,
     ),
+    # Too deep for the C scanner, which raises RecursionError on it.
+    "deeply-nested-line": (hand_record(1, "ok") + b"[" * 100_000 + b"\n" + hand_record(2, "ok"), ["ok"], 58),
     "empty-log": (b"", [], 0),
 }
 
 
-class TestChunkedReplay:
-    """A log read a few bytes at a time loads the same entries and is cut at
-    the same byte as when it was decoded and scanned whole."""
+def note_channel_log(tmp_path, log_bytes: bytes):
+    """A data dir whose one channel, of one text field, has `log_bytes` for its log."""
+    data = tmp_path / "data"
+    first = TelemetryStore(data)
+    ch = first.create_channel("shower", ["note"])
+    first.close()
+    log = data / f"channel-{ch.channel_id}.log"
+    log.write_bytes(log_bytes)
+    return data, ch, log
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64, None], ids=lambda c: f"chunk-{c or 'default'}")
-    @pytest.mark.parametrize("case", list(CHUNKED_REPLAY_CASES))
-    def test_same_entries_and_same_cut(self, tmp_path, monkeypatch, case, chunk):
-        log_bytes, values, kept = CHUNKED_REPLAY_CASES[case]
-        if chunk is not None:
-            monkeypatch.setattr(store_module, "REPLAY_CHUNK_BYTES", chunk)
-        data = tmp_path / "data"
-        first = TelemetryStore(data)
-        ch = first.create_channel("shower", ["note"])
-        first.close()
-        log = data / f"channel-{ch.channel_id}.log"
-        log.write_bytes(log_bytes)
-        store = TelemetryStore(data)  # channels.jsonl is read in chunks too
+
+class TestReplay:
+    """Replay loads each line's record until the first bad line, and cuts
+    the log at that line's first byte."""
+
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_same_entries_and_same_cut(self, tmp_path, case):
+        log_bytes, values, kept = REPLAY_CASES[case]
+        data, ch, log = note_channel_log(tmp_path, log_bytes)
+        store = TelemetryStore(data)
         try:
             feed = store.read_feed(ch.channel_id, ch.read_key, 100)
             assert feed == [Entry(i, float(i), {1: value}) for i, value in enumerate(values, 1)]
@@ -918,6 +1073,95 @@ class TestChunkedReplay:
         finally:
             store.close()
 
-    def test_the_chunk_and_memo_sizes(self):
-        assert store_module.REPLAY_CHUNK_BYTES == 1 << 18
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_the_warning_names_the_cut(self, tmp_path, caplog, case):
+        log_bytes, _, kept = REPLAY_CASES[case]
+        data, _, log = note_channel_log(tmp_path, log_bytes)
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            TelemetryStore(data).close()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        if kept == len(log_bytes):
+            assert warnings == []
+        else:
+            assert len(warnings) == 1
+            assert warnings[0].startswith(f"truncating {log} at byte {kept}: bad record (")
+
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_a_second_open_cuts_nothing(self, tmp_path, case):
+        log_bytes, values, kept = REPLAY_CASES[case]
+        data, ch, log = note_channel_log(tmp_path, log_bytes)
+        TelemetryStore(data).close()
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            store = TelemetryStore(data)
+        try:
+            feed = store.read_feed(ch.channel_id, ch.read_key, 100)
+            assert feed == [Entry(i, float(i), {1: value}) for i, value in enumerate(values, 1)]
+            assert log.read_bytes() == log_bytes[:kept]
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_an_entry_written_after_the_cut_replays(self, tmp_path, case):
+        log_bytes, values, kept = REPLAY_CASES[case]
+        data, ch, log = note_channel_log(tmp_path, log_bytes)
+        store = TelemetryStore(data)
+        next_id = store.write_update(ch.write_key, {1: "next"}, 10.0)
+        store.close()
+        assert next_id == len(values) + 1
+        record = {"entry_id": next_id, "created_at": 10.0, "values": {"1": "next"}}
+        assert log.read_bytes() == log_bytes[:kept] + json.dumps(record).encode() + b"\n"
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            reopened = TelemetryStore(data)
+        try:
+            feed = reopened.read_feed(ch.channel_id, ch.read_key, 100)
+            expected = [Entry(i, float(i), {1: value}) for i, value in enumerate(values, 1)]
+            assert feed == expected + [Entry(next_id, 10.0, {1: "next"})]
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_the_cut_leaves_other_channels_whole(self, tmp_path, case):
+        log_bytes, values, kept = REPLAY_CASES[case]
+        data = tmp_path / "data"
+        first = TelemetryStore(data)
+        before = first.create_channel("before", ["note"])
+        ch = first.create_channel("shower", ["note"])
+        after = first.create_channel("after", ["note"])
+        for i in range(3):
+            first.write_update(before.write_key, {1: f"b{i}"}, float(i))
+            first.write_update(after.write_key, {1: f"a{i}"}, float(i))
+        first.close()
+        others = {c.channel_id: (data / f"channel-{c.channel_id}.log").read_bytes() for c in (before, after)}
+        log = data / f"channel-{ch.channel_id}.log"
+        log.write_bytes(log_bytes)
+        store = TelemetryStore(data)
+        try:
+            assert len(store.read_feed(ch.channel_id, ch.read_key, 100)) == len(values)
+            assert log.read_bytes() == log_bytes[:kept]
+            for other, prefix in ((before, "b"), (after, "a")):
+                feed = store.read_feed(other.channel_id, other.read_key, 100)
+                assert feed == [Entry(i + 1, float(i), {1: f"{prefix}{i}"}) for i in range(3)]
+                assert (data / f"channel-{other.channel_id}.log").read_bytes() == others[other.channel_id]
+        finally:
+            store.close()
+
+    def test_a_bad_second_line_ends_replay_without_reading_the_rest(self, tmp_path):
+        # Replay stops at the bad line: the 5 MB behind it are neither read nor held.
+        good = b"".join(hand_record(i, "ok") for i in range(3, 90_003))
+        data, ch, log = note_channel_log(tmp_path, hand_record(1, "ok") + b"garbage\n" + good)
+        assert log.stat().st_size > 5_000_000
+        tracemalloc.start()
+        try:
+            store = TelemetryStore(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        try:
+            assert store.read_feed(ch.channel_id, ch.read_key, 10) == [Entry(1, 1.0, {1: "ok"})]
+            assert log.stat().st_size == 58
+            assert peak < 1_000_000
+        finally:
+            store.close()
+
+    def test_the_memo_size(self):
         assert store_module.PAGE_MEMO_MAX == 1_000
