@@ -32,12 +32,13 @@ At most MAX_HANDLERS connections are served at once, each on its own thread.
 A connection past the cap is answered 503 at once by the accepting thread,
 which then closes it, so slow clients cannot pile up threads.
 
-Feed rows are rendered once. Per channel the server keeps the JSON text of
-the rows of the last `feeds.json` page it served, keyed by entry id, and
-renders only the rows it lacks. The text cannot go stale: an entry never
-changes once appended, and a store never reuses an entry id. Each page's rows
-are published as a new dict that is never changed afterwards, so handler
-threads share them without a lock.
+Feed rows are rendered once, in the only feed-page cache. Per channel the
+server keeps the JSON text of the rows of the last `feeds.json` page it
+served, keyed by entry id. When they reach back to the new page's first row,
+it asks the store only for the entries above its newest row and renders just
+those. The text cannot go stale: an entry never changes once appended, and a
+store never reuses an entry id. Each page's rows are published as a new dict
+that is never changed afterwards, so handler threads share them without a lock.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import logging
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import islice
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
@@ -260,13 +262,19 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             results = int(raw_results)
         except ValueError:
             raise ValidationError("results must be an integer") from None
-        entries = self.server.store.read_feed(channel_id, read_key, results, user=user)
+        cached = self.server.feed_rows.get(channel_id, {})
+        # Cached ids are consecutive: they reach back to the new page's first
+        # row if there are `results` of them or they start at entry 1.
+        after = next(reversed(cached)) if cached and (results <= len(cached) or 1 in cached) else 0
+        entries = self.server.store.read_feed(channel_id, read_key, results, user=user, after=after)
         channel = self.server.store.channel(channel_id)
         channel_obj = {"id": channel.channel_id, "name": channel.name}
         for position, field_name in enumerate(channel.field_names, start=1):
             channel_obj[f"field{position}"] = field_name
-        rendered = self.server.feed_rows.get(channel_id, {})
-        rows = {e.entry_id: rendered.get(e.entry_id) or _render_row(e) for e in entries}
+        kept = min(results - len(entries), len(cached)) if after else 0
+        rows = dict(islice(cached.items(), len(cached) - kept, None))
+        for entry in entries:
+            rows[entry.entry_id] = _render_row(entry)
         self.server.feed_rows[channel_id] = rows
         # The text json.dumps gives for {"channel": channel_obj, "feeds": [...]}.
         body = f'{{"channel": {json.dumps(channel_obj)}, "feeds": [{", ".join(rows.values())}]}}'

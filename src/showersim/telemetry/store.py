@@ -11,10 +11,9 @@ A channel holds its entries in columns, about 120 bytes per entry of five
 small fields: an entry's id is its index plus one, `created_at` is an array
 of doubles, and `rows` holds one tuple per entry with a value for each field
 position (a private sentinel where the entry carries none). read_feed builds
-Entry objects, values in position order, only for the page asked for. Each
-channel memoises its last page of at most PAGE_MEMO_MAX entries and builds
-only the entries a new page adds, so a dashboard polling the newest page
-after each write pays for one entry.
+Entry objects, values in position order, only for the page asked for and
+only above the id `after`, so a caller that keeps its last page (the HTTP
+server keeps its rendered rows) builds just the entries written since.
 
 On disk each channel appends one complete JSON record per line to its own
 log file, with channel metadata appended to channels.jsonl. Recovery reads
@@ -24,9 +23,10 @@ line that is not one JSON value ending in its newline (a torn record, a
 record spanning lines, nesting too deep to scan, bytes that are not UTF-8 or
 JSON), or whose record breaks an invariant the write path keeps (the next
 entry id, a finite non-decreasing created_at, field positions inside the
-schema, finite float values), marks a crashed writer: the log is truncated
-at that line with a warning, so the feed is always a prefix of what was
-acknowledged. close() is final: later writes raise StoreClosedError.
+schema, values that are ints, finite floats or text), marks a crashed
+writer: the log is truncated at that line with a warning, so the feed is
+always a prefix of what was acknowledged. close() is final: later writes
+raise StoreClosedError.
 
 Every refusal raises a TelemetryError subclass whose `status` is the HTTP
 status the API answers it with, so the HTTP server and the in-process
@@ -56,12 +56,27 @@ KEY_ALPHABET = string.ascii_uppercase + string.digits
 MAX_FIELDS = 8
 VISIBILITIES = ("private", "shared")
 
-PAGE_MEMO_MAX = 1_000  # a longer feed page is built afresh and not kept
-
 _META_FILE = "channels.jsonl"
 _ABSENT = object()  # in a row, a field position the entry does not carry
 _ABSENT_ROW = (_ABSENT,) * MAX_FIELDS
 _POSITIONS = range(1, MAX_FIELDS + 1)
+_INT_LOW, _INT_HIGH = -(10**4_300), 10**4_300  # json.dumps and json.loads refuse ints this long
+
+
+def _unstorable(values: dict):
+    """The first position whose value the log cannot replay as written, or None:
+    a value must be an int of at most 4,300 digits, a finite float or a str."""
+    for pos, value in values.items():
+        kind = type(value)
+        if kind is int:
+            if not _INT_LOW < value < _INT_HIGH:
+                return pos
+        elif kind is float:
+            if not math.isfinite(value):
+                return pos
+        elif kind is not str:
+            return pos
+    return None
 
 
 def _row_builder(keys):
@@ -137,7 +152,6 @@ class Channel:
     rows: list = field(default_factory=list, repr=False)
     last_values: dict = field(default_factory=dict)  # field position -> its newest value
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-    page: tuple = field(default=(0, ()), repr=False, compare=False)  # (first index, entries)
 
     def __post_init__(self) -> None:
         self.row_of = _row_builder(range(1, len(self.field_names) + 1))
@@ -154,27 +168,6 @@ class Channel:
         """Entry objects for indices start..stop-1, values in position order."""
         created_at, rows = self.created_at, self.rows
         return [Entry(i + 1, created_at[i], _carried(rows[i])) for i in range(start, stop)]
-
-    def last_page(self, results: int) -> list:
-        """The newest `results` entries, oldest first; the caller holds `lock`.
-
-        Entries on the memoised page are reused, since an entry never changes
-        once appended; only the rest are built.
-        """
-        stop = len(self.rows)
-        start = max(stop - results, 0)
-        if stop - start > PAGE_MEMO_MAX:
-            return self.entries(start, stop)
-        first, memo = self.page
-        end = first + len(memo)  # never past stop: entries are only appended
-        if start == first and stop == end:
-            return list(memo)
-        if start >= first:
-            page = [*memo[start - first :], *self.entries(max(start, end), stop)]
-        else:
-            page = [*self.entries(start, first), *memo, *self.entries(end, stop)]
-        self.page = (start, tuple(page))
-        return page
 
     def meta(self) -> dict:
         return {
@@ -284,9 +277,8 @@ def _entry_loader(channel: "Channel"):
         missing = row.count(_ABSENT)
         if len(raw_values) + missing != width:
             raise ValueError(f"a field position in {list(raw_values)} is outside the schema")
-        for value in row:
-            if type(value) is float and not isfinite(value):
-                raise ValueError("a float value is not finite")
+        if _unstorable(raw_values) is not None:
+            raise ValueError("a value is not an int, a finite float or text")
         append(created_at, row, _carried(row) if missing else enumerate(row, 1))
 
     return accept
@@ -388,11 +380,11 @@ class TelemetryStore:
         With created_at=None the entry is stamped with the store clock at
         commit time, under the channel lock, so concurrent writers can never
         produce out-of-order timestamps. A field position that is not an int
-        inside the schema (a bool is refused), a value that is not an int, a
-        float or a str (the types the HTTP API parses), or a NaN or infinite
-        created_at or float value raises ValidationError, and a write after
-        close() raises StoreClosedError; neither stores anything, and so
-        every acknowledged entry replays from the log as it was written.
+        inside the schema (a bool is refused), a value that is not an int of
+        at most 4,300 digits, a finite float or a str (the types the HTTP API
+        parses), or a NaN or infinite created_at raises ValidationError, and a
+        write after close() raises StoreClosedError; neither stores anything,
+        so every acknowledged entry replays as written.
         """
         channel = self._by_write_key.get(write_key)
         if channel is None:
@@ -400,15 +392,12 @@ class TelemetryStore:
         if not values:
             raise ValidationError("no field values supplied")
         width = len(channel.field_names)
-        for pos, value in values.items():
+        for pos in values:
             if type(pos) is not int or not 1 <= pos <= width:
                 raise ValidationError(f"field position {pos!r} outside the channel schema")
-            kind = type(value)
-            if kind is float:
-                if not math.isfinite(value):
-                    raise ValidationError(f"field{pos} must be finite")
-            elif kind is not int and kind is not str:
-                raise ValidationError(f"field{pos} must be an int, a float or text")
+        pos = _unstorable(values)
+        if pos is not None:
+            raise ValidationError(f"field{pos} must be an int, a finite float or text")
         if created_at is not None:
             created_at = float(created_at)
             if not math.isfinite(created_at):
@@ -426,14 +415,15 @@ class TelemetryStore:
         return entry_id
 
     def read_feed(
-        self, channel_id: int, read_key: str, results: int, user: Optional[str] = None
+        self, channel_id: int, read_key: str, results: int, user: Optional[str] = None, after=0
     ) -> list:
-        """The last `results` accepted entries, oldest first, values in position order."""
+        """Of the last `results` entries, those with an id above `after`, oldest first."""
         if results < 1:
             raise ValidationError("results must be >= 1")
         channel = self._readable_channel(channel_id, read_key, user)
         with channel.lock:
-            return channel.last_page(results)
+            stop = len(channel.rows)
+            return channel.entries(max(stop - results, after, 0), stop)
 
     def read_last_field(
         self, channel_id: int, read_key: str, field_position: int, user: Optional[str] = None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
 import socket
 import sys
 import threading
@@ -13,8 +14,9 @@ import requests
 
 from showersim.agent import TelemetryClient
 from showersim.telemetry import server as server_module
+from showersim.telemetry import store as store_module
 from showersim.telemetry.server import TelemetryRequestHandler
-from showersim.telemetry.store import TelemetryStore
+from showersim.telemetry.store import Entry, TelemetryStore
 
 
 def create_channel(server, fields=("distance", "temperature", "humidity"), **params):
@@ -142,6 +144,16 @@ class TestFeedsEndpoint:
         )
         assert response.status_code == 404
 
+    @pytest.mark.parametrize("results", ["0", "-1", "x"])
+    def test_a_bad_results_is_400_before_and_after_a_page_is_cached(self, sim_server, results):
+        ch = create_channel(sim_server)
+        post_update(sim_server, ch["write_key"], {1: 1}, 0.0)
+        url = sim_server.url + f"/channels/{ch['channel_id']}/feeds.json"
+        bad = {"api_key": ch["read_key"], "results": results}
+        assert requests.get(url, params=bad, timeout=5).status_code == 400  # nothing cached yet
+        assert requests.get(url, params={"api_key": ch["read_key"]}, timeout=5).status_code == 200
+        assert requests.get(url, params=bad, timeout=5).status_code == 400
+
     def test_shared_channel_user_stub(self, sim_server):
         ch = sim_server.store.create_channel(
             "family", ["f1"], visibility="shared", shared_with=["grandma"]
@@ -181,10 +193,10 @@ PINNED_PAGES = {
 PINNED_EMPTY_PAGE = rb'{"channel": {"id": 2, "name": "empty", "field1": "x"}, "feeds": []}'
 
 
-def get_page(server, channel_id, read_key, results) -> bytes:
+def get_page(server, channel_id, read_key, results, **params) -> bytes:
     response = requests.get(
         server.url + f"/channels/{channel_id}/feeds.json",
-        params={"api_key": read_key, "results": results},
+        params={"api_key": read_key, "results": results, **params},
         timeout=5,
     )
     assert response.status_code == 200
@@ -233,6 +245,88 @@ class TestFeedBytes:
                     store.write_update(ch.write_key, {1: step, 2: f"{ch.name}{step}"}, float(step))
                 page = get_page(sim_server, ch.channel_id, ch.read_key, results)
                 assert page == fresh_page(store, ch.channel_id, ch.read_key, results)
+
+    def test_pages_equal_a_fresh_rendering_as_reads_and_writes_interleave(self, sim_server):
+        # Windows that grow past the cached page, shrink, outrun a short
+        # channel or trail many new entries, on three channels, one of them
+        # read through user= only.
+        store = sim_server.store
+        channels = [
+            store.create_channel("a", ["n", "x", "label"], min_post_interval_s=0),
+            store.create_channel("b", ["n"], min_post_interval_s=0),
+            store.create_channel(
+                "s", ["n", "label"], visibility="shared", shared_with=["grandma"], min_post_interval_s=0
+            ),
+        ]
+        written = [0, 0, 0]
+        rng = random.Random(14)
+
+        def write(index):
+            ch = channels[index]
+            n = written[index] = written[index] + 1
+            values = {1: rng.choice([n, n / 3, -n, f"t{n} \"é\""])}
+            for pos in range(2, len(ch.field_names) + 1):
+                if rng.random() < 0.5:
+                    values[pos] = rng.choice([n * 1.5, f"\u00b0{n}", 0])
+            assert store.write_update(ch.write_key, values, float(n)) == n
+
+        def check(index, results):
+            ch = channels[index]
+            if ch.visibility == "shared":
+                page = get_page(sim_server, ch.channel_id, "", results, user="grandma")
+            else:
+                page = get_page(sim_server, ch.channel_id, ch.read_key, results)
+            assert page == fresh_page(store, ch.channel_id, ch.read_key, results)
+
+        # (channel, writes before the read, results)
+        script = [
+            (0, 0, 5),  # an empty channel
+            (0, 3, 5),  # a channel shorter than the window
+            (0, 4, 5),  # the window outgrows the cached rows, which start at entry 1
+            (0, 1, 3),  # it shrinks
+            (0, 0, 8),  # it grows past cached rows that do not start at entry 1
+            (0, 2, 100),  # more rows than the channel holds
+            (1, 6, 2),
+            (0, 1, 100),
+            (1, 10, 4),  # more new entries than the window
+            (2, 3, 2),
+            (2, 1, 5),
+            (1, 0, 4),  # no new entry
+            (2, 4, 3),
+            (2, 0, 50),
+        ]
+        script += [(rng.randrange(3), rng.choice([0, 0, 1, 1, 2, 7]), rng.randint(1, 30)) for _ in range(120)]
+        for index, writes, results in script:
+            for _ in range(writes):
+                write(index)
+            check(index, results)
+
+    def test_a_steady_page_builds_and_renders_only_the_new_row(self, sim_server, monkeypatch):
+        store = sim_server.store
+        ch = store.create_channel("steady", ["n", "label"], min_post_interval_s=0)
+        for i in range(150):
+            store.write_update(ch.write_key, {1: i, 2: f"r{i}"}, float(i))
+        get_page(sim_server, ch.channel_id, ch.read_key, 100)
+        built, rendered = [], []
+        render_row = server_module._render_row
+
+        def counted_entry(*fields):
+            built.append(fields[0])
+            return Entry(*fields)
+
+        def counted_render(entry):
+            rendered.append(entry.entry_id)
+            return render_row(entry)
+
+        monkeypatch.setattr(store_module, "Entry", counted_entry)
+        monkeypatch.setattr(server_module, "_render_row", counted_render)
+        store.write_update(ch.write_key, {1: 150, 2: "r150"}, 150.0)
+        page = get_page(sim_server, ch.channel_id, ch.read_key, 100)
+        assert (built, rendered) == ([151], [151])
+        assert get_page(sim_server, ch.channel_id, ch.read_key, 100) == page
+        assert (built, rendered) == ([151], [151])  # no new entry: nothing built or rendered
+        monkeypatch.undo()
+        assert page == fresh_page(store, ch.channel_id, ch.read_key, 100)
 
     def test_concurrent_readers_see_consecutive_written_rows(self, sim_server):
         ch = sim_server.store.create_channel("busy", ["n", "label"], min_post_interval_s=0)

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from showersim.telemetry import store as store_module
 from showersim.telemetry.store import (
     AuthenticationError,
     Entry,
@@ -157,6 +156,8 @@ class TestWriteUpdate:
             {1: True},
             {1: b"5"},
             {1: 1j},
+            {1: 10**5000},
+            {1: -(10**4300)},
         ],
         ids=[
             "bool-position",
@@ -173,12 +174,20 @@ class TestWriteUpdate:
             "bool",
             "bytes",
             "complex",
+            "int-too-long-to-write",
+            "negative-int-too-long-to-write",
         ],
     )
     def test_a_write_the_api_cannot_make_is_refused(self, store, tmp_path, values):
         # The log cannot replay such an entry (a bool position is written as
-        # "True", a NaN in a list as NaN), so its replay would cut the log there
-        # and lose every entry after it.
+        # "True", a NaN in a list as NaN, an int of over 4,300 digits not at
+        # all), so its replay would cut the log there and lose every entry
+        # after it. A memory-only store refuses the same writes.
+        memory = TelemetryStore()
+        in_memory = make_channel(memory)
+        with pytest.raises(ValidationError):
+            memory.write_update(in_memory.write_key, values, 0.0)
+        assert memory.read_feed(in_memory.channel_id, in_memory.read_key, 10) == []
         ch = make_channel(store)
         with pytest.raises(ValidationError):
             store.write_update(ch.write_key, values, 0.0)
@@ -191,11 +200,17 @@ class TestWriteUpdate:
 
     @pytest.mark.parametrize(
         "value",
-        [0, -7, 2**62, 1.5, -0.0, 1e308, "", "温度 🚿", "a\nb", "\u2028", "\x85"],
+        [
+            0, -7, 2**62, 10**4300 - 1, -(10**4300 - 1),
+            1.5, -0.0, 1e308,
+            "", "温度 🚿", "a\nb", "\u2028", "\x85",
+        ],
         ids=[
             "zero",
             "negative",
             "big-int",
+            "longest-int",
+            "longest-negative-int",
             "float",
             "negative-zero",
             "huge-float",
@@ -274,6 +289,44 @@ class TestReadFeed:
         with pytest.raises(AuthenticationError):
             store.read_feed(ch.channel_id, "", 1, user="stranger")
 
+    @pytest.mark.parametrize(
+        "after, results, ids",
+        [
+            (0, 3, [3, 4, 5]),
+            (2, 3, [3, 4, 5]),
+            (3, 3, [4, 5]),
+            (5, 3, []),
+            (9, 3, []),
+            (1, 3, [3, 4, 5]),
+            (0, 10, [1, 2, 3, 4, 5]),
+            (4, 10, [5]),
+        ],
+        ids=[
+            "zero",
+            "just-before-the-page",
+            "inside-the-page",
+            "at-the-newest-id",
+            "past-the-newest-id",
+            "more-new-entries-than-results",
+            "zero-on-a-short-channel",
+            "inside-a-short-channel",
+        ],
+    )
+    def test_only_entries_above_after(self, store, after, results, ids):
+        ch = make_channel(store)
+        for i in range(5):
+            store.write_update(ch.write_key, {1: i * 10, 3: f"n{i}"}, float(i))
+        feed = store.read_feed(ch.channel_id, ch.read_key, results, after=after)
+        assert feed == [Entry(i, float(i - 1), {1: (i - 1) * 10, 3: f"n{i - 1}"}) for i in ids]
+
+    def test_after_keeps_the_auth_and_results_checks(self, store):
+        ch = make_channel(store)
+        store.write_update(ch.write_key, {1: 1}, 0.0)
+        with pytest.raises(AuthenticationError):
+            store.read_feed(ch.channel_id, "WRONGKEY12345678", 1, after=1)
+        with pytest.raises(ValidationError):
+            store.read_feed(ch.channel_id, ch.read_key, 0, after=1)
+
     def test_values_come_in_position_order_and_the_log_keeps_the_callers(self, store, tmp_path):
         ch = make_channel(store)
         store.write_update(ch.write_key, {3: "wet", 1: 8}, 0.0)
@@ -286,7 +339,6 @@ class TestReadFeed:
         ch = make_channel(store)
         store.write_update(ch.write_key, {1: 111111}, 0.0)
         store.write_update(ch.write_key, {1: 222222}, 1.0)
-        store.read_feed(ch.channel_id, ch.read_key, 2)  # fills the page memo
         assert "111111" not in repr(ch)
         assert "last_values={1: 222222}" in repr(ch)
 
@@ -899,7 +951,7 @@ sparse_payloads = st.dictionaries(
 page_ops = st.lists(
     st.one_of(
         st.tuples(st.just("write"), st.integers(0, 2), sparse_payloads),
-        st.tuples(st.just("read"), st.integers(0, 2), st.integers(1, 30)),
+        st.tuples(st.just("read"), st.integers(0, 2), st.tuples(st.integers(1, 30), st.integers(0, 40))),
     ),
     max_size=80,
 )
@@ -919,27 +971,27 @@ def page_channels(store, count=3) -> list:
 
 
 class TestFeedPages:
-    """read_feed pages, partly reused from each channel's page memo, equal a
-    from-scratch build of the Entry objects."""
+    """read_feed pages, with and without `after`, equal a from-scratch build
+    of the Entry objects."""
 
-    @given(ops=page_ops, cap=st.integers(1, 12))
+    @given(ops=page_ops)
     @settings(max_examples=150, deadline=None)
-    def test_pages_equal_a_from_scratch_build(self, ops, cap):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(store_module, "PAGE_MEMO_MAX", cap)
-            store = TelemetryStore()
-            channels = page_channels(store)
-            written = [[] for _ in channels]
-            for op, index, arg in ops:
-                ch, mine = channels[index], written[index]
-                if op == "write":
-                    assert store.write_update(ch.write_key, arg, float(len(mine))) == len(mine) + 1
-                    mine.append((float(len(mine)), arg))
-                    continue
-                page = store.read_feed(ch.channel_id, ch.read_key, arg)
-                assert repr(page) == repr(built_from_scratch(mine)[-arg:])  # repr tells 1 from 1.0
-                assert len(ch.page[1]) <= cap  # a longer page is never kept
-                page.clear()  # the caller owns the list; the memo must not share it
+    def test_pages_equal_a_from_scratch_build(self, ops):
+        store = TelemetryStore()
+        channels = page_channels(store)
+        written = [[] for _ in channels]
+        for op, index, arg in ops:
+            ch, mine = channels[index], written[index]
+            if op == "write":
+                assert store.write_update(ch.write_key, arg, float(len(mine))) == len(mine) + 1
+                mine.append((float(len(mine)), arg))
+                continue
+            results, after = arg
+            expected = built_from_scratch(mine)[-results:]
+            page = store.read_feed(ch.channel_id, ch.read_key, results)
+            assert repr(page) == repr(expected)  # repr tells 1 from 1.0
+            page = store.read_feed(ch.channel_id, ch.read_key, results, after=after)
+            assert repr(page) == repr([entry for entry in expected if entry.entry_id > after])
 
     @given(
         payloads=st.lists(st.tuples(st.integers(0, 1), sparse_payloads), min_size=1, max_size=150),
@@ -1041,6 +1093,11 @@ REPLAY_CASES = {
     ),
     # Too deep for the C scanner, which raises RecursionError on it.
     "deeply-nested-line": (hand_record(1, "ok") + b"[" * 100_000 + b"\n" + hand_record(2, "ok"), ["ok"], 58),
+    # JSON values the write path refuses: only ints, finite floats and text replay.
+    "bool-value": (hand_record(1, "ok") + hand_record(2, True) + hand_record(3, "ok"), ["ok"], 58),
+    "null-value": (hand_record(1, "ok") + hand_record(2, None) + hand_record(3, "ok"), ["ok"], 58),
+    "list-value": (hand_record(1, "ok") + hand_record(2, [1]) + hand_record(3, "ok"), ["ok"], 58),
+    "object-value": (hand_record(1, "ok") + hand_record(2, {"1": 1}) + hand_record(3, "ok"), ["ok"], 58),
     "empty-log": (b"", [], 0),
 }
 
@@ -1162,6 +1219,3 @@ class TestReplay:
             assert peak < 1_000_000
         finally:
             store.close()
-
-    def test_the_memo_size(self):
-        assert store_module.PAGE_MEMO_MAX == 1_000
