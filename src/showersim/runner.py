@@ -54,7 +54,7 @@ class Report:
 def _shower_channel(store: TelemetryStore, field_map: dict):
     """The run's private channel, its fields named in field-position order."""
     field_names = [field_map[pos] for pos in sorted(field_map)]
-    return store.create_channel("shower", field_names, visibility="private")
+    return store.create_channel("shower", field_names)
 
 
 def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> Report:

@@ -63,6 +63,10 @@ class SafetyConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # detect_thud needs a quiet sample before the loud ones, so a window
+        # holds at most thud_window_samples - 1 of them after it.
+        if self.thud_min_ones >= self.thud_window_samples:
+            raise ValueError("thud_min_ones must be below thud_window_samples")
 
 
 def detect_fall_geometry(us1: Occupancy, us2: Occupancy, us3: Occupancy) -> bool:

@@ -33,8 +33,9 @@ A connection past the cap is answered 503 at once by the accepting thread,
 which then closes it, so slow clients cannot pile up threads.
 
 Feed rows are rendered once, in the only feed-page cache. Per channel the
-server keeps the JSON text of the rows of the last `feeds.json` page it
-served, keyed by entry id. When they reach back to the new page's first row,
+server keeps the JSON text of the newest rows, at most FEED_CACHE_ROWS, of
+the last `feeds.json` page it served, keyed by entry id; a longer page is
+rendered in full. When they reach back to the new page's first row,
 it asks the store only for the entries above its newest row and renders just
 those. The text cannot go stale: an entry never changes once appended, and a
 store never reuses an entry id. Each page's rows are published as a new dict
@@ -60,6 +61,7 @@ logger = logging.getLogger(__name__)
 MAX_BODY_BYTES = 64 * 1024  # a full /update form is well under 1 KiB
 REQUEST_TIMEOUT_S = 30.0  # longest wait for a client's bytes; an answer's write gets as long
 MAX_HANDLERS = 64  # connections served at once; one more is answered 503 and closed
+FEED_CACHE_ROWS = 1_000  # newest rendered rows kept per channel; a longer page renders in full
 
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
@@ -232,19 +234,13 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         self._send_text(200, str(entry_id))
 
     def _post_channels(self, params) -> None:
-        name = self._first(params, "name")
-        if not name:
-            raise ValidationError("name is required")
-        fields = params.get("field", [])
-        visibility = self._first(params, "visibility", "private")
-        interval_raw = self._first(params, "min_post_interval_s")
-        try:
-            interval = float(interval_raw) if interval_raw is not None else 1.0
-        except ValueError:
-            raise ValidationError("min_post_interval_s must be numeric") from None
-        channel = self.server.store.create_channel(
-            name, fields, visibility=visibility, min_post_interval_s=interval
-        )
+        # Only the options the request gives: the Channel holds the defaults and the checks.
+        given = [key for key in ("visibility", "min_post_interval_s") if key in params]
+        options = {key: _coerce(params[key][0]) for key in given}
+        if "shared_with" in params:
+            options["shared_with"] = params["shared_with"]
+        name, fields = self._first(params, "name"), params.get("field", [])
+        channel = self.server.store.create_channel(name, fields, **options)
         self._send_json(
             200,
             {
@@ -275,9 +271,11 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         rows = dict(islice(cached.items(), len(cached) - kept, None))
         for entry in entries:
             rows[entry.entry_id] = _render_row(entry)
-        self.server.feed_rows[channel_id] = rows
         # The text json.dumps gives for {"channel": channel_obj, "feeds": [...]}.
         body = f'{{"channel": {json.dumps(channel_obj)}, "feeds": [{", ".join(rows.values())}]}}'
+        if len(rows) > FEED_CACHE_ROWS:
+            rows = dict(islice(rows.items(), len(rows) - FEED_CACHE_ROWS, None))
+        self.server.feed_rows[channel_id] = rows
         self._send(200, body.encode("utf-8"), "application/json")
 
     def _get_last(self, channel_id: int, position: int, params) -> None:

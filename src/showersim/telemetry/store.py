@@ -25,8 +25,12 @@ JSON), or whose record breaks an invariant the write path keeps (the next
 entry id, a finite non-decreasing created_at, field positions inside the
 schema, values that are ints, finite floats or text), marks a crashed
 writer: the log is truncated at that line with a warning, so the feed is
-always a prefix of what was acknowledged. close() is final: later writes
-raise StoreClosedError.
+always a prefix of what was acknowledged. A channels.jsonl record is held to
+create_channel's rules, because both build the channel with the Channel
+constructor, which checks the schema and holds the defaults: a record it
+refuses, one with an unknown key, or one whose id or a key is already taken
+is the torn point of that file. close() is final: later writes raise
+StoreClosedError.
 
 Every refusal raises a TelemetryError subclass whose `status` is the HTTP
 status the API answers it with, so the HTTP server and the in-process
@@ -41,10 +45,11 @@ import math
 import os
 import secrets
 import string
+import sys
 import threading
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -137,6 +142,11 @@ class Entry(NamedTuple):
     values: dict  # field position (1-based) -> numeric or text value
 
 
+def _texts(value) -> bool:
+    """True for a list or tuple whose items are all str."""
+    return type(value) in (list, tuple) and all(type(item) is str for item in value)
+
+
 @dataclass
 class Channel:
     channel_id: int
@@ -148,12 +158,33 @@ class Channel:
     shared_with: list = field(default_factory=list)
     min_post_interval_s: float = 1.0
     # Entry i + 1 is created_at[i] and rows[i]: a value per field position, or _ABSENT.
-    created_at: array = field(default_factory=lambda: array("d"), repr=False)
-    rows: list = field(default_factory=list, repr=False)
-    last_values: dict = field(default_factory=dict)  # field position -> its newest value
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    created_at: array = field(default_factory=lambda: array("d"), init=False, repr=False)
+    rows: list = field(default_factory=list, init=False, repr=False)
+    last_values: dict = field(default_factory=dict, init=False)  # position -> its newest value
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        if type(self.channel_id) is not int or self.channel_id < 1:
+            raise ValidationError(f"channel_id must be a positive int, got {self.channel_id!r}")
+        if type(self.name) is not str:
+            raise ValidationError("name must be text")
+        for key in (self.write_key, self.read_key):
+            if type(key) is not str or not key:
+                raise ValidationError("write_key and read_key must be non-empty text")
+        if not _texts(self.field_names) or not 1 <= len(self.field_names) <= MAX_FIELDS:
+            raise ValidationError(f"a channel carries 1..{MAX_FIELDS} text field names")
+        if self.visibility not in VISIBILITIES:
+            raise ValidationError(f"visibility must be one of {VISIBILITIES}")
+        if not _texts(self.shared_with):
+            raise ValidationError("shared_with must be a list of user names")
+        interval = self.min_post_interval_s
+        if type(interval) not in (int, float) or not 0 <= interval <= sys.float_info.max:
+            raise ValidationError("min_post_interval_s must be a finite number >= 0")
+        self.field_names = list(self.field_names)
+        self.shared_with = list(self.shared_with)
+        self.min_post_interval_s = float(interval)
         self.row_of = _row_builder(range(1, len(self.field_names) + 1))
 
     def append(self, created_at: float, row: tuple, values) -> None:
@@ -170,29 +201,8 @@ class Channel:
         return [Entry(i + 1, created_at[i], _carried(rows[i])) for i in range(start, stop)]
 
     def meta(self) -> dict:
-        return {
-            "channel_id": self.channel_id,
-            "name": self.name,
-            "write_key": self.write_key,
-            "read_key": self.read_key,
-            "field_names": list(self.field_names),
-            "visibility": self.visibility,
-            "shared_with": list(self.shared_with),
-            "min_post_interval_s": self.min_post_interval_s,
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "Channel":
-        return cls(
-            channel_id=int(meta["channel_id"]),
-            name=meta["name"],
-            write_key=meta["write_key"],
-            read_key=meta["read_key"],
-            field_names=list(meta["field_names"]),
-            visibility=meta.get("visibility", "private"),
-            shared_with=list(meta.get("shared_with", [])),
-            min_post_interval_s=float(meta.get("min_post_interval_s", 1.0)),
-        )
+        """The channels.jsonl record: the constructor's arguments, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 def _refuse_constant(name: str):
@@ -209,9 +219,9 @@ def _replay_log(path: Path, accept) -> None:
 
     Each line must hold exactly one JSON value followed by its newline. The
     first line that does not, or whose record `accept` refuses by raising
-    KeyError, TypeError or ValueError, marks the torn point: the file is
-    truncated at that line's first byte with a warning, so what stays is a
-    prefix of what was written.
+    KeyError, TypeError, ValueError or ValidationError, marks the torn point:
+    the file is truncated at that line's first byte with a warning, so what
+    stays is a prefix of what was written.
     """
     try:
         fh = path.open("rb")
@@ -232,7 +242,7 @@ def _replay_log(path: Path, accept) -> None:
             except StopIteration:
                 reason = "no JSON value"
                 break
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            except (KeyError, TypeError, ValueError, ValidationError, RecursionError) as exc:
                 reason = repr(exc)  # RecursionError: nesting too deep for the C scanner
                 break
             good_end += len(line)
@@ -307,62 +317,49 @@ class TelemetryStore:
     # -- construction / recovery -------------------------------------------
 
     def _replay(self) -> None:
-        _replay_log(self._dir / _META_FILE, lambda meta: self._register(Channel.from_meta(meta)))
+        _replay_log(self._dir / _META_FILE, self._load_channel)
         for channel in self._channels.values():
             _replay_log(self._entry_log_path(channel.channel_id), _entry_loader(channel))
+
+    def _load_channel(self, record) -> None:
+        """Register the channel a channels.jsonl record describes; a record the
+        constructor refuses, or whose id or a key is taken, is the torn point."""
+        channel = Channel(**record)
+        keys = {channel.write_key, channel.read_key}
+        if channel.channel_id in self._channels or len(keys) < 2 or keys & self._used_keys:
+            raise ValueError(f"channel {channel.channel_id}'s id or a key is already taken")
+        self._register(channel)
 
     def _register(self, channel: Channel) -> None:
         self._channels[channel.channel_id] = channel
         self._by_write_key[channel.write_key] = channel
-        self._used_keys.add(channel.write_key)
-        self._used_keys.add(channel.read_key)
+        self._used_keys.update((channel.write_key, channel.read_key))
 
     # -- channel management ------------------------------------------------
 
-    def create_channel(
-        self,
-        name: str,
-        field_names,
-        visibility: str = "private",
-        shared_with=(),
-        min_post_interval_s: float = 1.0,
-    ) -> Channel:
-        field_names = [str(f) for f in field_names]
-        if not 1 <= len(field_names) <= MAX_FIELDS:
-            raise ValidationError(
-                f"a channel carries 1..{MAX_FIELDS} fields, got {len(field_names)}"
-            )
-        if visibility not in VISIBILITIES:
-            raise ValidationError(f"visibility must be one of {VISIBILITIES}")
-        if not 0 <= min_post_interval_s < math.inf:
-            raise ValidationError("min_post_interval_s must be finite and >= 0")
+    def create_channel(self, name: str, field_names, **options) -> Channel:
+        """A new channel with the next free id and two fresh keys; `options` go to Channel."""
         with self._lock:
             self._check_open()
             channel_id = max(self._channels, default=0) + 1
+            channel = Channel(channel_id, name, *self._fresh_keys(), field_names, **options)
             while self._dir is not None and (log := self._entry_log_path(channel_id)).exists():
                 # A log whose channel metadata was torn away: a new channel never adopts it.
                 logger.warning("%s belongs to no channel: id %d is not reused", log, channel_id)
                 channel_id += 1
-            channel = Channel(
-                channel_id=channel_id,
-                name=name,
-                write_key=self._fresh_key(),
-                read_key=self._fresh_key(),
-                field_names=field_names,
-                visibility=visibility,
-                shared_with=list(shared_with),
-                min_post_interval_s=float(min_post_interval_s),
-            )
+                channel = replace(channel, channel_id=channel_id)
             self._persist_meta(channel)
             self._register(channel)
         return channel
 
-    def _fresh_key(self) -> str:
-        while True:
+    def _fresh_keys(self) -> set:
+        """Two distinct keys that no channel uses."""
+        keys = set()
+        while len(keys) < 2:
             key = "".join(secrets.choice(KEY_ALPHABET) for _ in range(KEY_LENGTH))
             if key not in self._used_keys:
-                self._used_keys.add(key)
-                return key
+                keys.add(key)
+        return keys
 
     def channel(self, channel_id: int) -> Channel:
         channel = self._channels.get(channel_id)

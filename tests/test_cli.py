@@ -56,6 +56,8 @@ BAD_CONFIG_LINES = {
     "min_range = -10": "min_range must be >= 0",
     # display_every_s / tick_s overflowed to inf, and round(inf) crashed the run (exit 2)
     "tick_s = 1e-320": "display_every_s / tick_s is not a finite number",
+    # detect_thud can never see 10 loud samples after a quiet one in a 10-sample window
+    "thud_min_ones = 10": "thud_min_ones must be below thud_window_samples",
 }
 
 

@@ -352,8 +352,8 @@ class TestFusion:
 class TestFallTimingAgainstThudOracle:
     @settings(max_examples=300, deadline=None)
     @given(
-        thud=st.integers(min_value=1, max_value=12).flatmap(
-            lambda samples: st.tuples(st.just(samples), st.integers(1, samples))
+        thud=st.integers(min_value=2, max_value=12).flatmap(
+            lambda samples: st.tuples(st.just(samples), st.integers(1, samples - 1))
         ),  # (thud_window_samples, thud_min_ones) that can hold a thud
         confirm=st.integers(min_value=1, max_value=3),
         require_thud=st.booleans(),
@@ -426,3 +426,9 @@ class TestSafetyConfig:
     def test_non_positive_rejected(self, field, value):
         with pytest.raises(ValueError):
             SafetyConfig(**{field: value})
+
+    @pytest.mark.parametrize("window,min_ones", [(10, 10), (10, 11), (1, 1), (3, 5)])
+    def test_a_thud_the_window_cannot_hold_is_rejected(self, window, min_ones):
+        # detect_thud needs a quiet sample first, so window - 1 loud ones at most
+        with pytest.raises(ValueError, match="thud_min_ones must be below thud_window_samples"):
+            SafetyConfig(thud_window_samples=window, thud_min_ones=min_ones)

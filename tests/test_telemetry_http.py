@@ -328,6 +328,23 @@ class TestFeedBytes:
         monkeypatch.undo()
         assert page == fresh_page(store, ch.channel_id, ch.read_key, 100)
 
+    def test_the_cache_keeps_only_the_newest_rows_of_a_long_page(self, sim_server, monkeypatch):
+        monkeypatch.setattr(server_module, "FEED_CACHE_ROWS", 4)
+        store = sim_server.store
+        ch = store.create_channel("long", ["n", "label"], min_post_interval_s=0)
+        written = 0
+        # (writes before the read, results): pages longer and shorter than the
+        # cache, over a channel shorter and longer than it
+        for writes, results in [(3, 10), (0, 2), (6, 20), (0, 20), (1, 3), (0, 4), (2, 6), (0, 100), (1, 5)]:
+            for _ in range(writes):
+                written += 1
+                store.write_update(ch.write_key, {1: written, 2: f"r{written}"}, float(written))
+            page = get_page(sim_server, ch.channel_id, ch.read_key, results)
+            assert page == fresh_page(store, ch.channel_id, ch.read_key, results)
+            cached = sim_server.feed_rows[ch.channel_id]
+            assert list(cached) == list(range(written + 1 - len(cached), written + 1))
+            assert len(cached) == min(4, results, written)
+
     def test_concurrent_readers_see_consecutive_written_rows(self, sim_server):
         ch = sim_server.store.create_channel("busy", ["n", "label"], min_post_interval_s=0)
         host, port = sim_server.server_address[:2]
@@ -462,6 +479,41 @@ class TestChannelAdmin:
         data = [("name", "big")] + [("field", f"f{i}") for i in range(9)]
         response = requests.post(sim_server.url + "/channels", data=data, timeout=5)
         assert response.status_code == 400
+
+    def test_a_shared_channel_names_its_readers(self, sim_server):
+        ch = create_channel(sim_server, visibility="shared", shared_with="carer")
+        assert post_update(sim_server, ch["write_key"], {1: 5}, 0.0).text == "1"
+        url = sim_server.url + f"/channels/{ch['channel_id']}/feeds.json"
+        assert requests.get(url, params={"user": "carer"}, timeout=5).status_code == 200
+        assert requests.get(url, params={"user": "stranger"}, timeout=5).status_code == 401
+        assert sim_server.store.channel(ch["channel_id"]).shared_with == ["carer"]
+
+    def test_repeated_shared_with_params_list_every_reader(self, sim_server):
+        data = [("name", "family"), ("field", "n"), ("visibility", "shared")]
+        data += [("shared_with", "carer"), ("shared_with", "nurse")]
+        response = requests.post(sim_server.url + "/channels", data=data, timeout=5)
+        assert response.status_code == 200
+        channel_id = response.json()["channel_id"]
+        assert sim_server.store.channel(channel_id).shared_with == ["carer", "nurse"]
+        sim_server.store.write_update(response.json()["write_key"], {1: 7}, 0.0)
+        url = sim_server.url + f"/channels/{channel_id}/fields/1/last.txt"
+        for user in ("carer", "nurse"):
+            assert requests.get(url, params={"user": user}, timeout=5).text == "7"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [("field", "n")],  # no name
+            [("name", "x"), ("field", "n"), ("visibility", "public")],
+            [("name", "x"), ("field", "n"), ("min_post_interval_s", "-5")],
+            [("name", "x"), ("field", "n"), ("min_post_interval_s", "soon")],
+            [("name", "x")],  # no field
+        ],
+    )
+    def test_a_refused_channel_is_400_and_creates_nothing(self, sim_server, data):
+        response = requests.post(sim_server.url + "/channels", data=data, timeout=5)
+        assert response.status_code == 400
+        assert create_channel(sim_server)["channel_id"] == 1
 
     def test_unknown_path_is_404(self, sim_server):
         assert requests.get(sim_server.url + "/nope", timeout=5).status_code == 404

@@ -471,6 +471,11 @@ class TestRecovery:
             ch = second.create_channel("new", ["distance"])
         assert ch.channel_id == 3
         assert "id 2 is not reused" in caplog.text
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            with pytest.raises(ValidationError):
+                second.create_channel("refused", [])
+        assert caplog.records == []  # a refused channel is checked before the id search
         assert second.write_update(ch.write_key, {1: 99}, 50.0) == 1
         second.close()
 
@@ -1219,3 +1224,187 @@ class TestReplay:
             assert peak < 1_000_000
         finally:
             store.close()
+
+
+def meta_line(record: dict) -> bytes:
+    return json.dumps(record).encode("utf-8") + b"\n"
+
+
+MISSING = object()  # in a META_CASES change, a key the bad record leaves out
+BEFORE = {
+    "channel_id": 1,
+    "name": "before",
+    "write_key": "BEFOREWRITEKEY01",
+    "read_key": "BEFOREREADKEY001",
+    "field_names": ["note"],
+    "visibility": "private",
+    "shared_with": [],
+    "min_post_interval_s": 1.0,
+}
+AFTER = {**BEFORE, "channel_id": 2, "name": "after", "write_key": "AFTERWRITEKEY001", "read_key": "AFTERREADKEY0001"}
+BAD = {**BEFORE, "channel_id": 3, "name": "bad", "write_key": "BADWRITEKEY00001", "read_key": "BADREADKEY000001"}
+# case -> what the bad channels.jsonl record, between BEFORE and AFTER, changes in BAD.
+META_CASES = {
+    "duplicate-id": {"channel_id": 1},
+    "reused-write-key": {"write_key": BEFORE["write_key"]},
+    "reused-read-key": {"read_key": BEFORE["read_key"]},
+    "same-write-and-read-key": {"read_key": BAD["write_key"]},
+    "no-fields": {"field_names": []},
+    "nine-fields": {"field_names": [f"f{i}" for i in range(9)]},
+    "public-visibility": {"visibility": "public"},
+    "negative-interval": {"min_post_interval_s": -5},
+    "text-interval": {"min_post_interval_s": "1"},
+    "bool-interval": {"min_post_interval_s": True},
+    "fractional-id": {"channel_id": 1.7},
+    "bool-id": {"channel_id": True},
+    "zero-id": {"channel_id": 0},
+    "text-field-names": {"field_names": "abc"},
+    "text-shared-with": {"visibility": "shared", "shared_with": "grandma"},
+    "unknown-key": {"colour": "red"},
+    "missing-name": {"name": MISSING},
+}
+
+
+class TestChannelReplay:
+    """Replay holds each channels.jsonl record to create_channel's rules: the
+    first record the Channel constructor refuses, or whose id or a key is
+    taken, is the torn point."""
+
+    def data_dir(self, tmp_path, case):
+        data = tmp_path / "data"
+        data.mkdir()
+        changes = META_CASES[case]
+        bad = {key: value for key, value in {**BAD, **changes}.items() if value is not MISSING}
+        (data / "channels.jsonl").write_bytes(meta_line(BEFORE) + meta_line(bad) + meta_line(AFTER))
+        (data / "channel-1.log").write_bytes(hand_record(1, "b1") + hand_record(2, "b2"))
+        (data / "channel-2.log").write_bytes(hand_record(1, "a1"))
+        return data
+
+    @pytest.mark.parametrize("case", list(META_CASES))
+    def test_the_bad_record_is_the_torn_point(self, tmp_path, caplog, case):
+        data = self.data_dir(tmp_path, case)
+        meta = data / "channels.jsonl"
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            store = TelemetryStore(data)
+        try:
+            warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+            assert len(warnings) == 1
+            assert warnings[0].startswith(f"truncating {meta} at byte {len(meta_line(BEFORE))}: bad record (")
+            assert meta.read_bytes() == meta_line(BEFORE)
+            feed = store.read_feed(1, BEFORE["read_key"], 10)
+            assert feed == [Entry(1, 1.0, {1: "b1"}), Entry(2, 2.0, {1: "b2"})]
+            assert store.channel(1).name == "before"
+            for dropped in (2, 3):
+                with pytest.raises(NotFoundError):
+                    store.channel(dropped)
+            for key in (BAD["write_key"], AFTER["write_key"]):
+                with pytest.raises(AuthenticationError):
+                    store.write_update(key, {1: "x"}, 5.0)
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("case", list(META_CASES))
+    def test_a_second_open_cuts_nothing_more(self, tmp_path, case):
+        data = self.data_dir(tmp_path, case)
+        TelemetryStore(data).close()
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            store = TelemetryStore(data)
+        try:
+            assert (data / "channels.jsonl").read_bytes() == meta_line(BEFORE)
+            assert len(store.read_feed(1, BEFORE["read_key"], 10)) == 2
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("case", list(META_CASES))
+    def test_a_new_channel_never_takes_a_dropped_channels_id(self, tmp_path, case):
+        data = self.data_dir(tmp_path, case)
+        orphan = (data / "channel-2.log").read_bytes()
+        store = TelemetryStore(data)
+        ch = store.create_channel("new", ["note"])
+        assert ch.channel_id == 3
+        assert store.write_update(ch.write_key, {1: "n1"}, 1.0) == 1
+        store.close()
+        reopened = TelemetryStore(data)
+        try:
+            assert reopened.read_feed(3, ch.read_key, 10) == [Entry(1, 1.0, {1: "n1"})]
+            assert (data / "channel-2.log").read_bytes() == orphan
+        finally:
+            reopened.close()
+
+    def test_a_record_without_the_optional_keys_takes_the_defaults(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        required = ("channel_id", "name", "write_key", "read_key", "field_names")
+        (data / "channels.jsonl").write_bytes(meta_line({key: BEFORE[key] for key in required}))
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            store = TelemetryStore(data)
+        try:
+            assert store.channel(1).meta() == BEFORE
+        finally:
+            store.close()
+
+    def test_a_channel_listed_twice_keeps_every_acknowledged_write(self, tmp_path, caplog):
+        # A second record of channel 1, under other keys, once loaded without
+        # a warning: both keys then wrote entries to channel-1.log that the
+        # next open cut away.
+        data = tmp_path / "data"
+        first = TelemetryStore(data)
+        ch = first.create_channel("shower", ["n"])
+        assert first.write_update(ch.write_key, {1: 0}, 0.0) == 1
+        first.close()
+        twin = {**ch.meta(), "write_key": "TWINWRITEKEY0001", "read_key": "TWINREADKEY00001"}
+        with (data / "channels.jsonl").open("ab") as fh:
+            fh.write(meta_line(twin))
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            second = TelemetryStore(data)
+        acknowledged = [Entry(1, 0.0, {1: 0})]
+        for key, created_at in ((ch.write_key, 10.0), (twin["write_key"], 20.0)):
+            try:
+                entry_id = second.write_update(key, {1: created_at}, created_at)
+            except AuthenticationError:
+                continue
+            acknowledged.append(Entry(entry_id, created_at, {1: created_at}))
+        second.close()
+        assert len(caplog.records) == 1
+        third = TelemetryStore(data)
+        try:
+            channel = third.channel(1)
+            assert third.read_feed(1, channel.read_key, 10) == acknowledged
+            assert channel.write_key == ch.write_key
+        finally:
+            third.close()
+
+
+class TestChannelSchema:
+    """create_channel and replay share the Channel constructor's checks."""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("visibility", "public"),
+            ("min_post_interval_s", -5),
+            ("min_post_interval_s", float("nan")),
+            ("min_post_interval_s", 10**400),  # past the largest float
+            ("min_post_interval_s", "1"),
+            ("min_post_interval_s", True),
+            ("shared_with", "grandma"),
+            ("shared_with", [1]),
+        ],
+        ids=["public", "negative", "nan", "huge-int", "text", "bool", "text-readers", "int-reader"],
+    )
+    def test_create_channel_refuses_a_bad_option_and_stores_nothing(self, store, tmp_path, key, value):
+        with pytest.raises(ValidationError):
+            store.create_channel("x", ["f"], **{key: value})
+        ch = store.create_channel("x", ["f"])
+        assert ch.channel_id == 1
+        assert (tmp_path / "data" / "channels.jsonl").read_bytes() == meta_line(ch.meta())
+
+    @pytest.mark.parametrize("names", ["abc", [1, 2], ("a", None)])
+    def test_field_names_must_be_text(self, store, names):
+        with pytest.raises(ValidationError):
+            store.create_channel("x", names)
+
+    def test_options_default_on_the_channel(self, store):
+        ch = store.create_channel("x", ("a", "b"), min_post_interval_s=2)
+        assert (ch.field_names, ch.visibility, ch.shared_with) == (["a", "b"], "private", [])
+        assert type(ch.min_post_interval_s) is float and ch.min_post_interval_s == 2.0
