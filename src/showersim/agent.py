@@ -20,6 +20,9 @@ from typing import Optional
 from urllib.parse import urlencode, urlsplit
 
 from .controller import (
+    EMPTY,
+    OCCUPIED,
+    OFF,
     ControllerConfig,
     ControllerState,
     Occupancy,
@@ -61,6 +64,7 @@ DEFAULT_FIELD_MAP = {
     4: "mode_code",
     5: "alert_code",
 }
+QUANTITIES = tuple(DEFAULT_FIELD_MAP.values())  # the order DeviceAgent.tick computes them in
 
 
 def _split_server_url(base_url: str) -> tuple:
@@ -117,7 +121,7 @@ def render_status(
         f"Humidity: {float(humidity_pct):.1f}",
         str(transport_status),
     ]
-    if mode is WaterMode.OFF:
+    if mode is OFF:
         lines.append("Shower room empty")
     else:
         lines.extend(
@@ -262,7 +266,8 @@ class DeviceAgent:
         self.posts_refused = 0
         self.last_status = "no transport"
         self._humidity_flag = False
-        self._fields = sorted(cfg.field_map.items())  # (position, quantity), posted in order
+        # (position, index of its quantity in QUANTITIES), posted in position order
+        self._fields = [(pos, QUANTITIES.index(q)) for pos, q in sorted(cfg.field_map.items())]
 
     def tick(self, env: EnvironmentState, now: float) -> TickResult:
         rng = self.rng
@@ -280,14 +285,13 @@ class DeviceAgent:
         new_state, _ = step(self.state, *control, water_locked=self.engine.water_locked)
 
         activation = self.controller_cfg.activation_cm
-        occupied, empty = Occupancy.OCCUPIED, Occupancy.EMPTY  # an Enum class lookup is slow
         per_sensor = (
-            occupied if ranges[0] < activation else empty,
-            occupied if ranges[1] < activation else empty,
-            occupied if ranges[2] < activation else empty,
+            OCCUPIED if ranges[0] < activation else EMPTY,
+            OCCUPIED if ranges[1] < activation else EMPTY,
+            OCCUPIED if ranges[2] < activation else EMPTY,
         )
         alerts, _ = self.engine.fuse_tick(per_sensor, sound_bit, gesture, new_state, now)
-        if self.engine.water_locked and new_state.mode is not WaterMode.OFF:
+        if self.engine.water_locked and new_state.mode is not OFF:
             # the engine has just locked the water: redo this tick's step locked
             new_state, _ = step(self.state, *control, water_locked=True)
         self.state = new_state
@@ -302,14 +306,14 @@ class DeviceAgent:
             )
             self._humidity_flag = humidity_flag
         distance = round_half_up(ranges[0])
-        quantities = {
-            "distance_cm": distance,
-            "temperature_c": temp_c,
-            "humidity_pct": humidity,
-            "mode_code": MODE_CODES[new_state.mode],
-            "alert_code": ALERT_CODES[alerts[0].kind] if alerts else 0,
-        }
-        payload = {pos: quantities[name] for pos, name in self._fields}
+        quantities = (
+            distance,
+            temp_c,
+            humidity,
+            MODE_CODES[new_state.mode],
+            ALERT_CODES[alerts[0].kind] if alerts else 0,
+        )
+        payload = {pos: quantities[i] for pos, i in self._fields}
         entry_id = self._post(payload, now)
 
         console = None
@@ -317,15 +321,8 @@ class DeviceAgent:
             console = render_status(distance, temp_c, humidity, self.last_status, new_state.mode)
 
         return TickResult(
-            time_s=now,
-            distance_cm=distance,
-            temp_c=temp_c,
-            humidity_pct=humidity,
-            occupancy=new_state.occupancy,
-            mode=new_state.mode,
-            entry_id=entry_id,
-            alerts=alerts,
-            console=console,
+            now, distance, temp_c, humidity, new_state.occupancy, new_state.mode,
+            entry_id, alerts, console,
         )
 
     def _display_boundary(self, now: float) -> bool:

@@ -177,14 +177,16 @@ def emit_report(report: Report, path, fmt: str) -> list:
     (str, json) as the report shows them, such as plain strings or str enums.
     A jsonl row is the text `json.dumps` gives for its `CSV_COLUMNS` dict: the
     numbers are their repr, and each distinct occupancy and mode cell is
-    rendered once.
+    rendered once. The csv time and each alert's time print with 15
+    significant digits, so 12345.25 and 1000001 keep theirs while the float
+    noise of k * tick_s (0.30000000000000004) prints as 0.3.
     """
     path = Path(path)
     rows = report.rows
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         lines.extend(
-            f"{r.time_s:g},{r.distance_cm!s},{r.temp_c!s},{r.humidity_pct!s},"
+            f"{r.time_s:.15g},{r.distance_cm!s},{r.temp_c!s},{r.humidity_pct!s},"
             f"{r.occupancy!s},{r.mode!s},{r.entry_id!s}"
             for r in rows
         )
@@ -203,7 +205,7 @@ def emit_report(report: Report, path, fmt: str) -> list:
 
     alerts_path = path.with_suffix(".alerts")
     alert_lines = [
-        f"{alert.timestamp:g},{alert.kind.value},{alert.evidence}" for alert in report.alerts
+        f"{alert.timestamp:.15g},{alert.kind.value},{alert.evidence}" for alert in report.alerts
     ]
     alerts_path.write_text("\n".join(alert_lines) + ("\n" if alert_lines else ""), encoding="utf-8")
     return [path, alerts_path]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .controller import ControllerState, Occupancy, WaterMode
+from .controller import EMPTY, HOT, OCCUPIED, ControllerState, Occupancy
 from .sensors import GestureCode
 
 
@@ -27,6 +27,12 @@ class GestureMeaning(Enum):
     HELP = "help"
     OKAY = "okay"
     NONE = "none"
+
+
+# Read per tick, so bound as module globals (see controller.OCCUPIED).
+FALL, HELP_GESTURE = AlertKind.FALL, AlertKind.HELP_GESTURE
+PROLONGED_HOT, OCCUPANCY_TIMEOUT = AlertKind.PROLONGED_HOT, AlertKind.OCCUPANCY_TIMEOUT
+HELP, OKAY = GestureMeaning.HELP, GestureMeaning.OKAY
 
 
 # Right or a wave calls for help; left signals the patron is okay.
@@ -71,11 +77,7 @@ class SafetyConfig:
 
 def detect_fall_geometry(us1: Occupancy, us2: Occupancy, us3: Occupancy) -> bool:
     """Fall signature: high and mid beams clear, floor beam blocked."""
-    return (
-        us1 is Occupancy.EMPTY
-        and us2 is Occupancy.EMPTY
-        and us3 is Occupancy.OCCUPIED
-    )
+    return us1 is EMPTY and us2 is EMPTY and us3 is OCCUPIED
 
 
 def detect_thud(samples: Sequence[int], cfg: SafetyConfig) -> bool:
@@ -154,7 +156,7 @@ class SafetyEngine:
     @property
     def water_locked(self) -> bool:
         """No water from a prolonged-hot alert until the shower next empties."""
-        return self._prev_occupancy is Occupancy.OCCUPIED and AlertKind.PROLONGED_HOT in self._fired
+        return self._prev_occupancy is OCCUPIED and PROLONGED_HOT in self._fired
 
     def fuse_tick(
         self,
@@ -172,12 +174,12 @@ class SafetyEngine:
 
         occupancy = controller_state.occupancy
         if occupancy is not self._prev_occupancy:
-            if occupancy is Occupancy.OCCUPIED:  # a patron entered: a new episode
+            if occupancy is OCCUPIED:  # a patron entered: a new episode
                 fired.clear()
                 self._help_pending = False
             self._prev_occupancy = occupancy
 
-        if controller_state.mode is not WaterMode.HOT:
+        if controller_state.mode is not HOT:
             self._hot_since = None
         elif self._hot_since is None:
             self._hot_since = now
@@ -204,31 +206,31 @@ class SafetyEngine:
         if (
             self._geometry_streak >= confirm
             and (thud_recent or not self.cfg.require_thud)
-            and AlertKind.FALL not in fired
+            and FALL not in fired
         ):
             evidence = f"sensors 1-2 clear with sensor-3 obstacle for {self._geometry_streak} ticks"
             if self.cfg.require_thud:
                 evidence += f"; thud within the last {confirm} ticks"
-            self._emit(alerts, Alert(AlertKind.FALL, now, evidence))
+            self._emit(alerts, Alert(FALL, now, evidence))
 
         if gesture is not None:
             meaning = interpret_gesture(gesture)
-            if meaning is GestureMeaning.HELP:
-                help_alert = Alert(AlertKind.HELP_GESTURE, now, f"gesture {gesture.value}")
+            if meaning is HELP:
+                help_alert = Alert(HELP_GESTURE, now, f"gesture {gesture.value}")
                 if self._emit(alerts, help_alert):
                     self._help_pending = True
-            elif meaning is GestureMeaning.OKAY and self._help_pending:
+            elif meaning is OKAY and self._help_pending:
                 self._help_pending = False
                 commands.append("clear help")
 
         if (
             self._hot_since is not None
-            and AlertKind.PROLONGED_HOT not in fired
+            and PROLONGED_HOT not in fired
             and self._emit(alerts, check_prolonged_hot(self._hot_since, now, self.cfg))
         ):
             commands.append("water off")
         occupied_since = controller_state.occupied_since
-        if occupied_since is not None and AlertKind.OCCUPANCY_TIMEOUT not in fired:
+        if occupied_since is not None and OCCUPANCY_TIMEOUT not in fired:
             self._emit(alerts, check_occupancy_timeout(occupied_since, now, self.cfg))
         return alerts, commands
 

@@ -26,6 +26,9 @@ class PersonPose(Enum):
     FALLEN = "fallen"
 
 
+STANDING, FALLEN = PersonPose.STANDING, PersonPose.FALLEN  # read per tick: see controller.OCCUPIED
+
+
 class GestureCode(Enum):
     """The nine recognizable hand gestures."""
 
@@ -104,9 +107,9 @@ def default_ultrasonic_array() -> tuple[UltrasonicConfig, UltrasonicConfig, Ultr
 
 
 def _beam_blocked(pose: PersonPose, mount_height: float) -> bool:
-    if pose is PersonPose.STANDING:
+    if pose is STANDING:
         return mount_height <= STANDING_OCCLUSION_CM
-    if pose is PersonPose.FALLEN:
+    if pose is FALLEN:
         return mount_height <= FALLEN_OCCLUSION_CM
     return False
 

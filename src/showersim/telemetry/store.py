@@ -70,7 +70,8 @@ _INT_LOW, _INT_HIGH = -(10**4_300), 10**4_300  # json.dumps and json.loads refus
 
 def _unstorable(values: dict):
     """The first position whose value the log cannot replay as written, or None:
-    a value must be an int of at most 4,300 digits, a finite float or a str."""
+    a value must be an int of at most 4,300 digits, a finite float or a str.
+    write_update applies the same rule inline, in its one pass over the items."""
     for pos, value in values.items():
         kind = type(value)
         if kind is int:
@@ -389,11 +390,18 @@ class TelemetryStore:
         if not values:
             raise ValidationError("no field values supplied")
         width = len(channel.field_names)
-        for pos in values:
+        for pos, value in values.items():
             if type(pos) is not int or not 1 <= pos <= width:
                 raise ValidationError(f"field position {pos!r} outside the channel schema")
-        pos = _unstorable(values)
-        if pos is not None:
+            kind = type(value)
+            if kind is int:
+                if _INT_LOW < value < _INT_HIGH:
+                    continue
+            elif kind is float:
+                if math.isfinite(value):
+                    continue
+            elif kind is str:
+                continue
             raise ValidationError(f"field{pos} must be an int, a finite float or text")
         if created_at is not None:
             created_at = float(created_at)

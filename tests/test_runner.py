@@ -23,7 +23,7 @@ from showersim.runner import (
     emit_report,
     run_scenario,
 )
-from showersim.safety import AlertKind, SafetyConfig
+from showersim.safety import Alert, AlertKind, SafetyConfig
 from showersim.scenario import ScenarioValidationError, parse_scenario
 from showersim.sensors import default_ultrasonic_array
 from showersim.telemetry.server import TelemetryHTTPServer
@@ -289,6 +289,24 @@ class TestEmitReport:
         for name in ("report.csv", "report.jsonl", "report.alerts"):
             run_bytes = (tmp_path / "run" / name).read_bytes()
             assert run_bytes == (tmp_path / "plain" / name).read_bytes(), name
+
+    def test_times_keep_their_digits(self, tmp_path):
+        # `:g` kept 6 significant digits: 12345.25 printed as 12345.2 and
+        # 1000001 as 1e+06. The float noise of k * tick_s still prints short.
+        times = (12345.25, 12345.75, 1000001.0, 3 * 0.1)
+        rows = [
+            TickResult(t, 600, 20, 50, "empty", "off", k + 1, [], None)
+            for k, t in enumerate(times)
+        ]
+        alerts = [Alert(AlertKind.FALL, t, "evidence") for t in times]
+        emit_report(Report(rows=rows, alerts=alerts), tmp_path / "report.csv", "csv")
+        cells = [line.split(",")[0] for line in (tmp_path / "report.csv").read_text().splitlines()]
+        alert_cells = [
+            line.split(",")[0] for line in (tmp_path / "report.alerts").read_text().splitlines()
+        ]
+        for written in (cells[1:], alert_cells):
+            assert [float(cell) for cell in written[:3]] == list(times[:3])
+            assert written[3] == "0.3"
 
     def test_unknown_format_rejected(self, tmp_path):
         report = run_file("approach.scn")

@@ -86,6 +86,28 @@ class TestUpdateEndpoint:
         response = post_update(sim_server, ch["write_key"], {5: 1}, 0.0)
         assert response.status_code == 400
 
+    # A bool value or position, or a position above field8, has no form the
+    # server parses: "True" is text, and it reads only field1..field8.
+    @pytest.mark.parametrize(
+        "position, raw",
+        [(2, "nan"), (2, "1" + "0" * 5000), (4, "1")],
+        ids=["nan-value", "int-too-long", "position-outside-schema"],
+    )
+    def test_a_good_field_then_a_bad_one_is_400_and_stores_nothing(
+        self, sim_server, position, raw
+    ):
+        ch = create_channel(sim_server)
+        assert post_update(sim_server, ch["write_key"], {1: 5, 2: 7}, 0.0).text == "1"
+        response = post_update(sim_server, ch["write_key"], {1: 6, position: raw}, 1.0)
+        assert response.status_code == 400
+        feeds = requests.get(
+            sim_server.url + f"/channels/{ch['channel_id']}/feeds.json",
+            params={"api_key": ch["read_key"], "results": 10},
+            timeout=5,
+        ).json()
+        assert feeds["feeds"] == [{"created_at": 0.0, "entry_id": 1, "field1": 5, "field2": 7}]
+        assert post_update(sim_server, ch["write_key"], {1: 8}, 1.0).text == "2"
+
     def test_missing_created_at_in_sim_time_is_400(self, sim_server):
         ch = create_channel(sim_server)
         response = post_update(sim_server, ch["write_key"], {1: 1})

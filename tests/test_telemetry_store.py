@@ -199,6 +199,56 @@ class TestWriteUpdate:
             reopened.close()
 
     @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({True: 5}, "field position True outside the channel schema"),
+            ({1.0: 5}, "field position 1.0 outside the channel schema"),
+            ({"1": 5}, "field position '1' outside the channel schema"),
+            ({None: 5}, "field position None outside the channel schema"),
+            ({4: 5}, "field position 4 outside the channel schema"),
+            ({1: [float("nan")]}, "field1 must be an int, a finite float or text"),
+            ({1: None}, "field1 must be an int, a finite float or text"),
+            ({1: True}, "field1 must be an int, a finite float or text"),
+            ({1: b"5"}, "field1 must be an int, a finite float or text"),
+            ({2: 10**5000}, "field2 must be an int, a finite float or text"),
+            ({3: float("-inf")}, "field3 must be an int, a finite float or text"),
+        ],
+    )
+    def test_a_refused_write_names_its_fault(self, store, values, message):
+        ch = make_channel(store)
+        with pytest.raises(ValidationError) as refused:
+            store.write_update(ch.write_key, values, 0.0)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {1: 6, 2: float("nan")},
+            {1: 6, 2: True},
+            {1: 6, 2: 10**5000},
+            {1: 6, 9: 1},
+            {2: 6, True: 1},  # {1: 6, True: 1} would be the dict {1: 1}: True == 1
+        ],
+        ids=["nan-value", "bool-value", "int-too-long", "position-9", "bool-position"],
+    )
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "file"])
+    def test_a_good_item_then_a_bad_one_stores_nothing(self, tmp_path, values, on_disk):
+        store = TelemetryStore(tmp_path / "data" if on_disk else None)
+        try:
+            ch = make_channel(store)
+            assert store.write_update(ch.write_key, {1: 5, 2: 7}, 0.0) == 1
+            log = tmp_path / "data" / f"channel-{ch.channel_id}.log"
+            log_bytes = log.read_bytes() if on_disk else None
+            with pytest.raises(ValidationError):
+                store.write_update(ch.write_key, values, 1.0)
+            assert store.read_feed(ch.channel_id, ch.read_key, 10) == [Entry(1, 0.0, {1: 5, 2: 7})]
+            assert ch.last_values == {1: 5, 2: 7}
+            assert (log.read_bytes() if on_disk else None) == log_bytes
+            assert store.write_update(ch.write_key, {1: 8}, 1.0) == 2
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize(
         "value",
         [
             0, -7, 2**62, 10**4300 - 1, -(10**4300 - 1),
