@@ -64,7 +64,6 @@ DEFAULT_FIELD_MAP = {
     4: "mode_code",
     5: "alert_code",
 }
-QUANTITIES = tuple(DEFAULT_FIELD_MAP.values())  # the order DeviceAgent.tick computes them in
 
 
 def _split_server_url(base_url: str) -> tuple:
@@ -266,8 +265,7 @@ class DeviceAgent:
         self.posts_refused = 0
         self.last_status = "no transport"
         self._humidity_flag = False
-        # (position, index of its quantity in QUANTITIES), posted in position order
-        self._fields = [(pos, QUANTITIES.index(q)) for pos, q in sorted(cfg.field_map.items())]
+        self._fields = sorted(cfg.field_map.items())  # (position, quantity), posted in order
 
     def tick(self, env: EnvironmentState, now: float) -> TickResult:
         rng = self.rng
@@ -306,14 +304,14 @@ class DeviceAgent:
             )
             self._humidity_flag = humidity_flag
         distance = round_half_up(ranges[0])
-        quantities = (
-            distance,
-            temp_c,
-            humidity,
-            MODE_CODES[new_state.mode],
-            ALERT_CODES[alerts[0].kind] if alerts else 0,
-        )
-        payload = {pos: quantities[i] for pos, i in self._fields}
+        quantities = {
+            "distance_cm": distance,
+            "temperature_c": temp_c,
+            "humidity_pct": humidity,
+            "mode_code": MODE_CODES[new_state.mode],
+            "alert_code": ALERT_CODES[alerts[0].kind] if alerts else 0,
+        }
+        payload = {pos: quantities[name] for pos, name in self._fields}
         entry_id = self._post(payload, now)
 
         console = None
@@ -321,8 +319,15 @@ class DeviceAgent:
             console = render_status(distance, temp_c, humidity, self.last_status, new_state.mode)
 
         return TickResult(
-            now, distance, temp_c, humidity, new_state.occupancy, new_state.mode,
-            entry_id, alerts, console,
+            time_s=now,
+            distance_cm=distance,
+            temp_c=temp_c,
+            humidity_pct=humidity,
+            occupancy=new_state.occupancy,
+            mode=new_state.mode,
+            entry_id=entry_id,
+            alerts=alerts,
+            console=console,
         )
 
     def _display_boundary(self, now: float) -> bool:

@@ -70,8 +70,7 @@ _INT_LOW, _INT_HIGH = -(10**4_300), 10**4_300  # json.dumps and json.loads refus
 
 def _unstorable(values: dict):
     """The first position whose value the log cannot replay as written, or None:
-    a value must be an int of at most 4,300 digits, a finite float or a str.
-    write_update applies the same rule inline, in its one pass over the items."""
+    a value must be an int of at most 4,300 digits, a finite float or a str."""
     for pos, value in values.items():
         kind = type(value)
         if kind is int:
@@ -390,18 +389,11 @@ class TelemetryStore:
         if not values:
             raise ValidationError("no field values supplied")
         width = len(channel.field_names)
-        for pos, value in values.items():
+        for pos in values:
             if type(pos) is not int or not 1 <= pos <= width:
                 raise ValidationError(f"field position {pos!r} outside the channel schema")
-            kind = type(value)
-            if kind is int:
-                if _INT_LOW < value < _INT_HIGH:
-                    continue
-            elif kind is float:
-                if math.isfinite(value):
-                    continue
-            elif kind is str:
-                continue
+        pos = _unstorable(values)
+        if pos is not None:
             raise ValidationError(f"field{pos} must be an int, a finite float or text")
         if created_at is not None:
             created_at = float(created_at)

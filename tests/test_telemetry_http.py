@@ -108,6 +108,12 @@ class TestUpdateEndpoint:
         assert feeds["feeds"] == [{"created_at": 0.0, "entry_id": 1, "field1": 5, "field2": 7}]
         assert post_update(sim_server, ch["write_key"], {1: 8}, 1.0).text == "2"
 
+    def test_a_bad_position_is_named_before_a_bad_value(self, sim_server):
+        ch = create_channel(sim_server)
+        response = post_update(sim_server, ch["write_key"], {1: "nan", 4: 1}, 0.0)
+        assert response.status_code == 400
+        assert response.text == "field position 4 outside the channel schema"
+
     def test_missing_created_at_in_sim_time_is_400(self, sim_server):
         ch = create_channel(sim_server)
         response = post_update(sim_server, ch["write_key"], {1: 1})

@@ -212,6 +212,9 @@ class TestWriteUpdate:
             ({1: b"5"}, "field1 must be an int, a finite float or text"),
             ({2: 10**5000}, "field2 must be an int, a finite float or text"),
             ({3: float("-inf")}, "field3 must be an int, a finite float or text"),
+            # two faults: a bad position is named before any bad value
+            ({1: float("nan"), 4: 1}, "field position 4 outside the channel schema"),
+            ({2: None, "x": 5}, "field position 'x' outside the channel schema"),
         ],
     )
     def test_a_refused_write_names_its_fault(self, store, values, message):
