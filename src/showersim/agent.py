@@ -9,15 +9,16 @@ answer with the status line of the API, taken from the store error's status.
 
 from __future__ import annotations
 
-import http.client
 import logging
 import math
 import random
 import socket
+import string
 from collections import deque
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from typing import Optional
-from urllib.parse import urlencode, urlsplit
+from urllib.parse import quote_plus, urlsplit
 
 from .controller import (
     EMPTY,
@@ -66,12 +67,13 @@ DEFAULT_FIELD_MAP = {
 }
 
 
-def _split_server_url(base_url: str) -> tuple:
-    """(host, port, path) of a telemetry server URL, which must be http://host[:port]."""
+def _split_server_url(base_url: str):
+    """The parts of a telemetry server URL, which must be http://host[:port]."""
     url = urlsplit(base_url)
     if url.scheme != "http" or not url.hostname:
         raise ValueError(f"telemetry server URL must be http://host[:port], got {base_url!r}")
-    return url.hostname, url.port, url.path  # .port raises ValueError for a bad port
+    url.port  # raises ValueError for a bad port
+    return url
 
 
 @dataclass
@@ -134,9 +136,6 @@ def render_status(
     return "\n".join(lines) + "\n"
 
 
-_FORM_HEADERS = {"Content-Type": "application/x-www-form-urlencoded"}
-
-
 def _peer_closed(sock) -> bool:
     """An idle keep-alive socket with anything to read has been closed by the peer."""
     timeout = sock.gettimeout()
@@ -152,50 +151,121 @@ def _peer_closed(sock) -> bool:
     return True
 
 
+_MAX_LINE = 65_536  # longest status or header line read from an answer
+_MAX_HEADERS = 100
+_UNRESERVED = frozenset(string.ascii_letters + string.digits + "_.-~")  # quote_plus keeps these
+
+
+def _form_text(value) -> str:
+    """A form key or value as urlencode writes it: quote_plus of its str()."""
+    text = value if type(value) is str else str(value)
+    return text if _UNRESERVED.issuperset(text) else quote_plus(text)
+
+
 class TelemetryClient:
-    """Posts channel updates over the wire protocol on one keep-alive connection."""
+    """Posts channel updates over the wire protocol on one keep-alive connection.
+
+    Each post leaves in one write: the request head and its form body. The
+    answer is read from the socket's buffered file: the status line, the
+    headers up to the blank line, then Content-Length bytes of body. An
+    answer carrying `Connection: close` closes the socket after it.
+    """
 
     def __init__(self, base_url: str, timeout_s: float = 5.0):
-        host, port, path = _split_server_url(base_url)
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
-        self._path = path.rstrip("/") + "/update"
+        url = _split_server_url(base_url)
+        self._address = (url.hostname, url.port or 80)
+        self._timeout_s = timeout_s
+        self._head = (
+            f"POST {url.path.rstrip('/')}/update HTTP/1.1\r\n"
+            f"Host: {url.netloc.rpartition('@')[2]}\r\n"
+            "Content-Type: application/x-www-form-urlencoded\r\n"
+            "Content-Length: "
+        ).encode("ascii")
+        self._sock = None
+        self._answers = None  # the socket's buffered reading file
 
     def post_update(self, write_key: str, values: dict, created_at: float):
         """Returns (transport status line, entry id or None on transport failure)."""
         form = {"api_key": write_key, "created_at": repr(float(created_at))}
         for position, value in values.items():
             form[f"field{position}"] = value
-        body = urlencode(form).encode("ascii")
+        body = "&".join(f"{_form_text(k)}={_form_text(v)}" for k, v in form.items()).encode("ascii")
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
         while True:  # a second pass only ever runs on a fresh connection
-            reused = self._conn.sock is not None
-            if reused and _peer_closed(self._conn.sock):
-                self._conn.close()
+            reused = self._sock is not None
+            if reused and _peer_closed(self._sock):
+                self.close()
                 reused = False
             try:
-                self._conn.request("POST", self._path, body, _FORM_HEADERS)
-                response = self._conn.getresponse()
-                reply = response.read()
-            except (http.client.RemoteDisconnected, BrokenPipeError):
-                # Dead before any response byte: the server never took this
-                # post, so one retry on a fresh connection cannot store it twice.
-                self._conn.close()
-                if reused:
-                    continue
-                return "unreachable", None
-            except (OSError, http.client.HTTPException):
-                self._conn.close()
+                if self._sock is None:
+                    self._connect()
+                try:
+                    self._sock.sendall(request)
+                    status_line = self._answers.readline(_MAX_LINE + 1)
+                except BrokenPipeError:
+                    status_line = b""
+                if not status_line:
+                    # Closed before any answer byte: the server never took this
+                    # post, so one retry on a fresh connection cannot store it twice.
+                    self.close()
+                    if reused:
+                        continue
+                    return "unreachable", None
+                code, status, reply = self._read_answer(status_line)
+            except (OSError, ValueError):  # a garbled or cut answer, a timeout, a reset
+                self.close()
                 return "unreachable", None
             break
-        status = f"{response.status} {response.reason}"
-        if response.status != 200:
+        if code != 200:
             return status, None
         try:
-            return status, int(reply.strip())
+            return status, int(reply)
         except ValueError:
             return status, None
 
+    def _connect(self) -> None:
+        self._sock = socket.create_connection(self._address, self._timeout_s)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._answers = self._sock.makefile("rb")
+
+    def _read_answer(self, status_line: bytes) -> tuple:
+        """(status code, status text, body) of the answer whose status line
+        was read; raises ValueError for an answer this client cannot frame."""
+        version, code, *reason = status_line.split(None, 2)
+        if not (version.startswith(b"HTTP/") and len(code) == 3 and code.isdigit()):
+            raise ValueError(f"bad status line {status_line[:100]!r}")
+        if not status_line.endswith(b"\n"):
+            raise ValueError("status line cut short or too long")
+        length, close = None, False
+        for _ in range(_MAX_HEADERS):
+            line = self._answers.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line.endswith(b"\n"):
+                raise ValueError("answer headers cut short or too long")
+            name, _, value = line.partition(b":")
+            name, value = name.strip().lower(), value.strip()
+            if name == b"content-length" and value.isdigit():
+                length = int(value)
+            elif name == b"connection":
+                close = value.lower() == b"close"
+        else:
+            raise ValueError("too many answer headers")
+        if length is None:
+            raise ValueError("answer without a Content-Length")
+        body = self._answers.read(length)
+        if len(body) < length:
+            raise ValueError("answer body cut short")
+        if close:
+            self.close()
+        code = int(code)
+        return code, f"{code} {reason[0].strip().decode('iso-8859-1') if reason else ''}", body
+
     def close(self) -> None:
-        self._conn.close()
+        if self._sock is not None:
+            self._answers.close()
+            self._sock.close()
+            self._sock = self._answers = None
 
 
 class StoreClient:
@@ -208,7 +278,7 @@ class StoreClient:
         try:
             return "200 OK", self.store.write_update(write_key, values, created_at)
         except TelemetryError as exc:
-            return f"{exc.status} {http.client.responses[exc.status]}", None
+            return f"{exc.status} {HTTPStatus(exc.status).phrase}", None
 
     def close(self) -> None:
         self.store.close()

@@ -110,7 +110,7 @@ def check_prolonged_hot(
         return None
     duration = now - hot_since
     if duration >= cfg.prolonged_hot_s:
-        return Alert(AlertKind.PROLONGED_HOT, now, f"hot water running for {duration:g} s")
+        return Alert(AlertKind.PROLONGED_HOT, now, f"hot water running for {duration:.15g} s")
     return None
 
 
@@ -122,7 +122,7 @@ def check_occupancy_timeout(
     duration = now - occupied_since
     if duration >= cfg.occupancy_alert_s:
         return Alert(
-            AlertKind.OCCUPANCY_TIMEOUT, now, f"shower occupied for {duration:g} s"
+            AlertKind.OCCUPANCY_TIMEOUT, now, f"shower occupied for {duration:.15g} s"
         )
     return None
 

@@ -8,14 +8,21 @@ Endpoints:
 
 In simulation mode (--sim-time) the server trusts the client-supplied
 created_at so replays are deterministic, and an update without one is
-refused with 400; otherwise it stamps entries with its own clock. A refused
+refused with 400; otherwise it stamps entries with its own clock. A form
+key that starts with `field` but is not field1..field8 gets 400. A refused
 call is answered with its store error's `status` (401 bad key, 400 invalid
 input such as a non-finite min_post_interval_s, 404 no such channel, 503
 closed store) and the error text as the body.
 
+The handler reads the request line by http.server's rules and the header
+block itself, into a dict keyed by lower-case name, without the email
+parser. A header block that leaves unclear where the request ends gets 400
+and a close: a line without a colon, whitespace before the colon, an
+obs-fold continuation line, or two Content-Length headers that differ.
 A request body is framed by Content-Length on every method (a GET reads and
 ignores it), so no byte of a body is ever run as the next request; any
 Transfer-Encoding gets 411 and a close, and a body that ends early gets 400.
+The Date header's text is formatted once per second.
 Headers and body leave in one write through the buffered `wfile` that
 `handle_one_request()` flushes; an interim `100 Continue` is flushed at once,
 because the client holds its body back until it arrives.
@@ -49,6 +56,7 @@ import json
 import logging
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import islice
 from typing import Optional
@@ -62,9 +70,26 @@ MAX_BODY_BYTES = 64 * 1024  # a full /update form is well under 1 KiB
 REQUEST_TIMEOUT_S = 30.0  # longest wait for a client's bytes; an answer's write gets as long
 MAX_HANDLERS = 64  # connections served at once; one more is answered 503 and closed
 FEED_CACHE_ROWS = 1_000  # newest rendered rows kept per channel; a longer page renders in full
+MAX_LINE_BYTES = 65_536  # longest request or header line, as in http.server
+MAX_HEADER_LINES = 100  # header lines read, the blank one included, as in http.server
 
+_FIELD_POSITIONS = {f"field{pos}": pos for pos in range(1, MAX_FIELDS + 1)}  # in position order
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
+
+
+def _version_number(word: str):
+    """(major, minor) of a request line's `HTTP/x.y` word, or None if it is not one.
+
+    As in http.server: two dot-separated runs of at most ten digits, leading
+    zeros ignored.
+    """
+    if not word.startswith("HTTP/"):
+        return None
+    numbers = word[5:].split(".")
+    if len(numbers) != 2 or any(not (n.isascii() and n.isdigit()) or len(n) > 10 for n in numbers):
+        return None
+    return int(numbers[0]), int(numbers[1])
 
 
 def _coerce(text: str):
@@ -98,17 +123,99 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         return accepted
 
     def parse_request(self) -> bool:
-        """Refuse an HTTP/0.9 request line (no version, or HTTP/0.9 itself).
+        """Read the request line and the header block, as http.server does,
+        but with the headers read here into `self.headers`, a dict keyed by
+        lower-case name. Returns False once the request has been answered (or,
+        for an empty line, dropped).
 
-        http.server answers one with a bare body and no status line, which an
-        HTTP/1.1 client cannot read as an answer.
+        An HTTP/0.9 request line (no version, or HTTP/0.9 itself) gets 400:
+        http.server would answer one with a bare body and no status line,
+        which an HTTP/1.1 client cannot read as an answer.
         """
-        if not super().parse_request():
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = _version_number(words[-1])
+            if version is None:
+                self.send_error(400, f"Bad request version ({words[-1]!r})")
+                return False
+            if version >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({words[-1][5:]})")
+                return False
+            self.close_connection = version < (1, 1)
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        self.command, self.path = words[:2]
+        if len(words) == 2 and self.command != "GET":
+            self.send_error(400, f"Bad HTTP/0.9 request type ({self.command!r})")
+            return False
+        if self.path.startswith("//"):
+            self.path = "/" + self.path.lstrip("/")  # not read as a scheme-relative URL
+        self.headers = self._read_headers()
+        if self.headers is None:
             return False
         if self.request_version == "HTTP/0.9":
             self.send_error(400, "request line must end with HTTP/1.0 or HTTP/1.1")
             return False
+        connection = self.headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        expect = self.headers.get("expect", "").lower()
+        if expect == "100-continue" and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
         return True
+
+    def _read_headers(self) -> Optional[dict]:
+        """The header block up to its blank line as {lower-case name: value},
+        or None once a malformed block has been answered.
+
+        A line over MAX_LINE_BYTES, or a block of more than MAX_HEADER_LINES
+        lines with its blank line, gets 431, as from http.server. A line
+        without a colon, with whitespace in its name or folded onto the line
+        before, or two Content-Length headers that differ get 400: each would
+        leave it unclear where this request ends and the next begins.
+        """
+        headers: dict = {}
+        for count in range(MAX_HEADER_LINES + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self.send_error(431, "Line too long")
+                return None
+            if count == MAX_HEADER_LINES:
+                self.send_error(431, "Too many headers")
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            name, colon, value = str(line, "iso-8859-1").rstrip("\r\n").partition(":")
+            if not colon or not name or " " in name or "\t" in name:
+                self.send_error(400, "header line must be a name, a colon and a value")
+                return None
+            name, value = name.lower(), value.strip(" \t")
+            if name not in headers:
+                headers[name] = value
+            elif name == "content-length" and headers[name] != value:
+                self.send_error(400, "Content-Length headers differ")
+                return None
+
+    def date_time_string(self, timestamp=None) -> str:
+        """The Date header's text, formatted once per second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        second = int(time.time())
+        cached_second, text = self.server.date_header
+        if second != cached_second:
+            text = super().date_time_string(second)
+            self.server.date_header = (second, text)  # one tuple: a reader sees both or neither
+        return text
 
     def send_error(self, code, message=None, explain=None) -> None:
         """Answer an error that http.server finds itself as the API answers one."""
@@ -128,9 +235,9 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         """
         url = urlparse(self.path)
         params = parse_qs(url.query)
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             return self._refuse(411, "Transfer-Encoding is not supported; send Content-Length")
-        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        raw_length = self.headers.get("content-length") or "0"
         if not raw_length.isascii() or not raw_length.isdigit():
             return self._refuse(400, "Content-Length must be a non-negative integer")
         length = int(raw_length)
@@ -215,11 +322,12 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         api_key = self._first(params, "api_key")
         if api_key is None:
             raise AuthenticationError("invalid key")
-        values = {}
-        for pos in range(1, MAX_FIELDS + 1):
-            raw = self._first(params, f"field{pos}")
-            if raw is not None:
-                values[pos] = _coerce(raw)
+        for key in params:
+            if key.startswith("field") and key not in _FIELD_POSITIONS:
+                raise ValidationError(f"field position {key[5:]} outside the channel schema")
+        values = {
+            pos: _coerce(params[key][0]) for key, pos in _FIELD_POSITIONS.items() if key in params
+        }
         if self.server.sim_time:
             raw_created = self._first(params, "created_at")
             if raw_created is None:
@@ -302,6 +410,7 @@ class TelemetryHTTPServer(ThreadingHTTPServer):
         self.store = store
         self.sim_time = sim_time
         self.feed_rows: dict = {}  # channel id -> {entry id: row JSON} of its last page
+        self.date_header = (None, "")  # (whole second, Date header text) of the latest answer
         self._handler_slots = threading.BoundedSemaphore(MAX_HANDLERS)
         self._thread: Optional[threading.Thread] = None
 

@@ -7,10 +7,11 @@ channel's minimum post interval are rejected with 0 and store nothing. Each
 channel keeps the newest value of every field as entries are appended (on
 writes and on replay alike), so reading it never walks the feed.
 
-A channel holds its entries in columns, about 120 bytes per entry of five
+A channel holds its entries in columns, about 49 bytes per entry of five
 small fields: an entry's id is its index plus one, `created_at` is an array
-of doubles, and `rows` holds one tuple per entry with a value for each field
-position (a private sentinel where the entry carries none). read_feed builds
+of doubles, and `values` is one flat list that each entry extends by a value
+for each field position (a private sentinel where the entry carries none),
+so entry i's values are values[i * width:(i + 1) * width]. read_feed builds
 Entry objects, values in position order, only for the page asked for and
 only above the id `after`, so a caller that keeps its last page (the HTTP
 server keeps its rendered rows) builds just the entries written since.
@@ -105,7 +106,7 @@ def _row_builder(keys):
     return row_of
 
 
-def _carried(row: tuple) -> dict:
+def _carried(row) -> dict:
     """Position -> value for each field a row carries, in position order."""
     if _ABSENT in row:
         return {pos: value for pos, value in zip(_POSITIONS, row) if value is not _ABSENT}
@@ -157,9 +158,10 @@ class Channel:
     visibility: str = "private"
     shared_with: list = field(default_factory=list)
     min_post_interval_s: float = 1.0
-    # Entry i + 1 is created_at[i] and rows[i]: a value per field position, or _ABSENT.
+    # Entry i + 1 is created_at[i] and values[i * width:(i + 1) * width]: a
+    # value per field position, or _ABSENT.
     created_at: array = field(default_factory=lambda: array("d"), init=False, repr=False)
-    rows: list = field(default_factory=list, init=False, repr=False)
+    values: list = field(default_factory=list, init=False, repr=False)
     last_values: dict = field(default_factory=dict, init=False)  # position -> its newest value
     lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
@@ -185,20 +187,24 @@ class Channel:
         self.field_names = list(self.field_names)
         self.shared_with = list(self.shared_with)
         self.min_post_interval_s = float(interval)
-        self.row_of = _row_builder(range(1, len(self.field_names) + 1))
+        self.width = len(self.field_names)
+        self.row_of = _row_builder(range(1, self.width + 1))
 
-    def append(self, created_at: float, row: tuple, values) -> None:
-        """Add the next entry: its row, and `values`, the (position, value)
-        items it carries, to last_values. The caller holds `lock`, or replays
-        the log alone."""
+    def append(self, created_at: float, row: tuple, carried) -> None:
+        """Add the next entry: its row, a value per field position, and
+        `carried`, the (position, value) items it carries, to last_values.
+        The caller holds `lock`, or replays the log alone."""
         self.created_at.append(created_at)
-        self.rows.append(row)
-        self.last_values.update(values)
+        self.values.extend(row)
+        self.last_values.update(carried)
 
     def entries(self, start: int, stop: int) -> list:
         """Entry objects for indices start..stop-1, values in position order."""
-        created_at, rows = self.created_at, self.rows
-        return [Entry(i + 1, created_at[i], _carried(rows[i])) for i in range(start, stop)]
+        created_at, values, width = self.created_at, self.values, self.width
+        return [
+            Entry(i + 1, created_at[i], _carried(values[i * width : (i + 1) * width]))
+            for i in range(start, stop)
+        ]
 
     def meta(self) -> dict:
         """The channels.jsonl record: the constructor's arguments, in field order."""
@@ -260,10 +266,9 @@ def _replay_log(path: Path, accept) -> None:
 
 def _entry_loader(channel: "Channel"):
     """The `accept` that appends one channel's log records to its columns."""
-    width = len(channel.field_names)
+    width = channel.width
     row_of = _row_builder(str(pos) for pos in range(1, width + 1))
     created = channel.created_at
-    rows = channel.rows
     append = channel.append
     isfinite = math.isfinite
 
@@ -273,12 +278,12 @@ def _entry_loader(channel: "Channel"):
         entry_id = record["entry_id"]
         created_at = record["created_at"]
         raw_values = record["values"]
-        if type(entry_id) is not int or entry_id != len(rows) + 1:
-            raise ValueError(f"entry_id {entry_id!r} where {len(rows) + 1} is next")
+        if type(entry_id) is not int or entry_id != len(created) + 1:
+            raise ValueError(f"entry_id {entry_id!r} where {len(created) + 1} is next")
         if (
             type(created_at) is not float
             or not isfinite(created_at)
-            or (rows and created_at < created[-1])
+            or (created and created_at < created[-1])
         ):
             raise ValueError(f"created_at {created_at!r} is not finite and non-decreasing")
         if type(raw_values) is not dict or not raw_values:
@@ -388,7 +393,7 @@ class TelemetryStore:
             raise AuthenticationError("invalid key")
         if not values:
             raise ValidationError("no field values supplied")
-        width = len(channel.field_names)
+        width = channel.width
         for pos in values:
             if type(pos) is not int or not 1 <= pos <= width:
                 raise ValidationError(f"field position {pos!r} outside the channel schema")
@@ -419,7 +424,7 @@ class TelemetryStore:
             raise ValidationError("results must be >= 1")
         channel = self._readable_channel(channel_id, read_key, user)
         with channel.lock:
-            stop = len(channel.rows)
+            stop = len(channel.created_at)
             return channel.entries(max(stop - results, after, 0), stop)
 
     def read_last_field(

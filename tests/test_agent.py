@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import http.client
+import re
+import socket
+import threading
 import time
+from contextlib import contextmanager
+from urllib.parse import urlencode
 
 import pytest
 
@@ -391,6 +396,147 @@ class TestTelemetryClient:
             assert answer == ("503 Service Unavailable", None)
         finally:
             http_client.close()
+
+
+class CountedSends:
+    """A socket that records the data of each sendall call."""
+
+    def __init__(self, sock, sends: list):
+        self._sock = sock
+        self._sends = sends
+
+    def sendall(self, data) -> None:
+        self._sends.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def read_request(conn) -> bool:
+    """Read one whole request (head and Content-Length body); False at end of stream."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return False
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"(?im)^content-length: *(\d+)", head).group(1))
+    while len(body) < length:
+        body += conn.recv(65536)
+    return True
+
+
+@contextmanager
+def canned_server(*connections):
+    """A loopback server that serves its connections one after the other.
+
+    Each item of `connections` is the list of answers for one connection, sent
+    one per request; the connection is closed after its last answer.
+    Yields the server's URL.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve():
+        try:
+            for answers in connections:
+                conn, _ = listener.accept()
+                with conn:
+                    for answer in answers:
+                        if not read_request(conn):
+                            break
+                        conn.sendall(answer)
+        except OSError:
+            pass  # the test has failed or ended; its assertions tell why
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+
+
+class TestTelemetryClientWire:
+    def test_each_post_leaves_in_one_write(self, sim_server, monkeypatch):
+        ch = sim_server.store.create_channel("writes", ["n", "label"], min_post_interval_s=0.0)
+        sends = []
+        connect = socket.create_connection
+        monkeypatch.setattr(
+            socket, "create_connection", lambda *a, **kw: CountedSends(connect(*a, **kw), sends)
+        )
+        client = TelemetryClient(sim_server.url)
+        try:
+            answers = [client.post_update(ch.write_key, {1: k, 2: "é" * 40}, float(k)) for k in range(5)]
+        finally:
+            client.close()
+        assert answers == [("200 OK", k) for k in range(1, 6)]
+        assert len(sends) == 5
+        assert all(data.startswith(b"POST /update HTTP/1.1\r\n") for data in sends)
+
+    def test_the_body_is_the_form_urlencode_gives(self, monkeypatch):
+        values = {1: "a b&c=d+é~", 2: 1e16, 3: -7, 4: 0.5, 5: True}
+        sends = []
+        connect = socket.create_connection
+        monkeypatch.setattr(
+            socket, "create_connection", lambda *a, **kw: CountedSends(connect(*a, **kw), sends)
+        )
+        with canned_server([b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n1"]) as url:
+            client = TelemetryClient(url)
+            try:
+                assert client.post_update("K/Y", values, 1e16) == ("200 OK", 1)
+            finally:
+                client.close()
+        form = {"api_key": "K/Y", "created_at": "1e+16"} | {f"field{p}": v for p, v in values.items()}
+        head, _, body = sends[0].partition(b"\r\n\r\n")
+        assert body == urlencode(form).encode("ascii")
+        assert b"\r\nContent-Length: %d\r\n" % len(body) in head + b"\r\n"
+
+    def test_a_closing_answer_is_followed_by_a_new_connection(self, sim_server):
+        ch = sim_server.store.create_channel("big", ["n"])
+        accepted = count_connections(sim_server)
+        client = TelemetryClient(sim_server.url)
+        try:
+            status, entry_id = client.post_update(ch.write_key, {1: "x" * 70_000}, 0.0)
+            assert (status[:4], entry_id) == ("413 ", None)  # answered with Connection: close
+            assert client.post_update(ch.write_key, {1: 8}, 0.0) == ("200 OK", 1)
+        finally:
+            client.close()
+        assert len(accepted) == 2
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            b"HTTP/1.1 2OO OK\r\nContent-Length: 1\r\n\r\n1",
+            b"garbage\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\n1",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n1",
+        ],
+        ids=["garbled-status", "no-status-line", "no-content-length", "body-cut-short"],
+    )
+    def test_an_answer_it_cannot_read_is_unreachable(self, answer):
+        with canned_server([answer]) as url:
+            client = TelemetryClient(url)
+            try:
+                assert client.post_update("KEY", {1: 1}, 0.0) == ("unreachable", None)
+            finally:
+                client.close()
+
+    def test_header_names_match_in_any_case(self):
+        closing = b"HTTP/1.1 200 OK\r\ncontent-LENGTH: 1\r\nCONNECTION: close\r\n\r\n7"
+        reused = b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n"
+        fresh = b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n8"
+        with canned_server([closing, reused], [fresh]) as url:
+            client = TelemetryClient(url)
+            try:
+                answers = [client.post_update("KEY", {1: k}, float(k)) for k in range(2)]
+            finally:
+                client.close()
+        # The second post went out on a new connection: the first was closed.
+        assert answers == [("200 OK", 7), ("200 OK", 8)]
 
 
 class TestAgentConfig:

@@ -303,3 +303,12 @@ class TestConsoleScript:
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_the_device_client_needs_no_stdlib_http_client(self):
+        # The agent frames its posts and their answers itself.
+        code = (
+            "import showersim.cli, sys; "
+            "assert 'http.client' not in sys.modules; assert 'email.parser' not in sys.modules"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

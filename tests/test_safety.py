@@ -151,6 +151,10 @@ class TestProlongedHot:
     def test_not_hot_right_now(self):
         assert check_prolonged_hot(None, 2000.0, CFG) is None
 
+    def test_evidence_gives_the_duration_to_15_digits(self):
+        alert = check_prolonged_hot(0.0, 1234567.5, SafetyConfig())
+        assert alert.evidence == "hot water running for 1234567.5 s"  # :g read 1.23457e+06
+
     @settings(max_examples=300, deadline=None)
     @given(
         limit=st.integers(min_value=1, max_value=8),
@@ -203,6 +207,10 @@ class TestOccupancyTimeout:
 
     def test_not_occupied(self):
         assert check_occupancy_timeout(None, 5000.0, CFG) is None
+
+    def test_evidence_gives_the_duration_to_15_digits(self):
+        alert = check_occupancy_timeout(0.25, 1234567.75, SafetyConfig())
+        assert alert.evidence == "shower occupied for 1234567.5 s"
 
 
 def occupied_state(since=0.0, mode=WaterMode.COLD):

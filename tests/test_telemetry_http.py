@@ -86,8 +86,7 @@ class TestUpdateEndpoint:
         response = post_update(sim_server, ch["write_key"], {5: 1}, 0.0)
         assert response.status_code == 400
 
-    # A bool value or position, or a position above field8, has no form the
-    # server parses: "True" is text, and it reads only field1..field8.
+    # A bool value or position has no form the server parses: "True" is text.
     @pytest.mark.parametrize(
         "position, raw",
         [(2, "nan"), (2, "1" + "0" * 5000), (4, "1")],
@@ -107,6 +106,30 @@ class TestUpdateEndpoint:
         ).json()
         assert feeds["feeds"] == [{"created_at": 0.0, "entry_id": 1, "field1": 5, "field2": 7}]
         assert post_update(sim_server, ch["write_key"], {1: 8}, 1.0).text == "2"
+
+    @pytest.mark.parametrize(
+        "stray, text",
+        [
+            ("field9=1&fieldx=2", "field position 9 outside the channel schema"),
+            ("fieldx=2", "field position x outside the channel schema"),
+            ("field0=2", "field position 0 outside the channel schema"),
+            ("field01=2", "field position 01 outside the channel schema"),
+        ],
+        ids=["field9", "fieldx", "field0", "field01"],
+    )
+    def test_a_field_key_naming_no_position_is_400_and_stores_nothing(
+        self, sim_server, stray, text
+    ):
+        ch = create_channel(sim_server)
+        response = requests.post(
+            sim_server.url + "/update",
+            data=f"api_key={ch['write_key']}&created_at=0&field1=6&{stray}",
+            headers={"Content-Type": "application/x-www-form-urlencoded"},
+            timeout=5,
+        )
+        assert (response.status_code, response.text) == (400, text)
+        assert sim_server.store.read_feed(ch["channel_id"], ch["read_key"], 10) == []
+        assert post_update(sim_server, ch["write_key"], {1: 6}, 0.0).text == "1"
 
     def test_a_bad_position_is_named_before_a_bad_value(self, sim_server):
         ch = create_channel(sim_server)
@@ -682,6 +705,39 @@ class TestMalformedRequests:
         assert status_line.startswith(b"HTTP/1.1 " + status)
         assert sim_server.store.read_feed(ch["channel_id"], ch["read_key"], 10) == []
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"Content-Length: {n}\r\nContent-Length: {more}\r\n",
+            b"X-Note\r\nContent-Length: {n}\r\n",
+            b"Content-Length : {n}\r\n",
+            b"X-Note: a\r\n folded\r\nContent-Length: {n}\r\n",
+        ],
+        ids=["differing-lengths", "no-colon", "space-before-colon", "obs-fold"],
+    )
+    def test_a_malformed_header_block_is_400_then_closed(self, sim_server, head):
+        ch = create_channel(sim_server)
+        body = f"api_key={ch['write_key']}&field1=7&created_at=0".encode()
+        head = head.replace(b"{n}", b"%d" % len(body)).replace(b"{more}", b"%d" % (len(body) + 5))
+        request = b"POST /update HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body
+        (status_line, headers, text), = split_answers(raw_exchange(sim_server, request))
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert headers[b"Connection"] == b"close"
+        assert headers[b"Content-Type"] == b"text/plain; charset=utf-8"
+        assert text
+        assert sim_server.store.read_feed(ch["channel_id"], ch["read_key"], 10) == []
+
+    def test_equal_content_lengths_and_any_case_frame_the_body(self, sim_server):
+        ch = create_channel(sim_server)
+        body = f"api_key={ch['write_key']}&field1=7&created_at=0".encode()
+        request = (
+            b"POST /update HTTP/1.1\r\nHost: test\r\nCONTENT-length:  %d \r\n"
+            b"Content-Length: %d\r\nconnection: CLOSE\r\n\r\n" % (len(body), len(body))
+        ) + body
+        (status_line, headers, text), = split_answers(raw_exchange(sim_server, request))
+        assert (status_line, text) == (b"HTTP/1.1 200 OK", b"1")
+        assert headers[b"Connection"] == b"close"
+
     def test_expect_100_continue_comes_before_the_body(self, sim_server):
         ch = create_channel(sim_server)
         body = f"api_key={ch['write_key']}&field1=7&created_at=0".encode()
@@ -699,6 +755,22 @@ class TestMalformedRequests:
         assert text == b"1"
 
 
+class TestAnswerHeaders:
+    def test_the_date_header_follows_the_clock_second_by_second(self, sim_server, monkeypatch):
+        now = [1_000_000_000.2]
+        monkeypatch.setattr(server_module.time, "time", lambda: now[0])
+        dates = []
+        for now[0] in (1_000_000_000.2, 1_000_000_000.9, 1_000_000_001.0, 999_999_999.5):
+            response = requests.get(sim_server.url + "/nope", timeout=5)
+            dates.append(response.headers["Date"])
+        assert dates == [
+            "Sun, 09 Sep 2001 01:46:40 GMT",
+            "Sun, 09 Sep 2001 01:46:40 GMT",
+            "Sun, 09 Sep 2001 01:46:41 GMT",
+            "Sun, 09 Sep 2001 01:46:39 GMT",
+        ]
+
+
 class TestServerOwnErrors:
     """Errors that http.server finds before any route runs answer like the API's own."""
 
@@ -708,8 +780,9 @@ class TestServerOwnErrors:
             (b"hello\r\n", b"400"),
             (b"PUT /update HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n", b"501"),
             (b"POST /update HTTP/1.1\r\nX-Big: " + b"a" * 65530, b"431"),  # a 65,537-byte line
+            (b"GET /nope HTTP/1.1\r\n" + b"X-A: 1\r\n" * 100 + b"\r\n", b"431"),  # 101 lines
         ],
-        ids=["one-word-line", "unknown-method", "oversized-header"],
+        ids=["one-word-line", "unknown-method", "oversized-header", "too-many-headers"],
     )
     def test_plain_text_then_closed(self, sim_server, request_bytes, status):
         (status_line, headers, text), = split_answers(raw_exchange(sim_server, request_bytes))
@@ -821,6 +894,26 @@ def held_connection(server, path: str, deadline_s: float = 5.0) -> http.client.H
 class TestHandlerCap:
     def test_the_cap(self):
         assert server_module.MAX_HANDLERS == 64
+
+    def test_a_device_past_the_cap_reads_503(self, two_handler_server):
+        server, store = two_handler_server
+        ch = store.create_channel("shower", ["distance"])
+        stalled = [socket.create_connection(server.server_address[:2], timeout=5) for _ in range(2)]
+        try:
+            for sock in stalled:  # each holds a handler, waiting for the rest of its body
+                sock.sendall(b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: 10\r\n\r\napi")
+            client = TelemetryClient(server.url)
+            try:
+                assert client.post_update(ch.write_key, {1: 8}, 0.0) == ("503 Service Unavailable", None)
+            finally:
+                client.close()
+            for sock in stalled:
+                sock.shutdown(socket.SHUT_WR)
+                read_until_closed(sock)
+        finally:
+            for sock in stalled:
+                sock.close()
+        assert store.read_feed(ch.channel_id, ch.read_key, 10) == []
 
     def test_a_connection_past_the_cap_gets_503_and_service_resumes(self, two_handler_server):
         server, store = two_handler_server

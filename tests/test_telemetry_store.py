@@ -421,7 +421,7 @@ class TestReadLastField:
     def test_reads_without_scanning_the_feed(self, store):
         ch = make_channel(store)
         store.write_update(ch.write_key, {1: 8, 2: 25}, 0.0)
-        ch.rows = UnscannableList(ch.rows)
+        ch.values = UnscannableList(ch.values)
         store.write_update(ch.write_key, {1: 74}, 1.0)
         last = [store.read_last_field(ch.channel_id, ch.read_key, pos) for pos in (1, 2, 3)]
         assert last == [74, 25, None]
