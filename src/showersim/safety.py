@@ -22,6 +22,10 @@ class AlertKind(Enum):
     PROLONGED_HOT = "prolonged_hot"
     OCCUPANCY_TIMEOUT = "occupancy_timeout"
 
+    # Members compare by identity, so the C-level identity hash serves: the
+    # `in self._fired` tests every tick makes skip the Python-level Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 class GestureMeaning(Enum):
     HELP = "help"

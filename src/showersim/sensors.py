@@ -42,6 +42,8 @@ class GestureCode(Enum):
     ANTICLOCKWISE = "anticlockwise"
     WAVE = "wave"
 
+    __hash__ = object.__hash__  # as AlertKind's: a gesture tick's meaning lookup skips Enum.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -14,26 +14,33 @@ call is answered with its store error's `status` (401 bad key, 400 invalid
 input such as a non-finite min_post_interval_s, 404 no such channel, 503
 closed store) and the error text as the body.
 
-The handler reads the request line by http.server's rules and the header
-block itself, into a dict keyed by lower-case name, without the email
-parser. A header block that leaves unclear where the request ends gets 400
-and a close: a line without a colon, whitespace before the colon, an
-obs-fold continuation line, or two Content-Length headers that differ.
-A request body is framed by Content-Length on every method (a GET reads and
-ignores it), so no byte of a body is ever run as the next request; any
-Transfer-Encoding gets 411 and a close, and a body that ends early gets 400.
-The Date header's text is formatted once per second.
-Headers and body leave in one write through the buffered `wfile` that
-`handle_one_request()` flushes; an interim `100 Continue` is flushed at once,
-because the client holds its body back until it arrives.
+The handler is a socketserver stream handler with its own keep-alive request
+loop, by the rules of the stdlib's http.server but without loading it (nor,
+through it, http.client, email and ssl). It reads the request line and the
+header block itself, the headers into a dict keyed by lower-case name. A
+header block that leaves unclear where the request ends gets 400 and a
+close: a line without a colon, whitespace before the colon, an obs-fold
+continuation line, or two Content-Length headers that differ. A request
+body is framed by Content-Length on every method (a GET reads and ignores
+it), so no byte of a body is ever run as the next request; any
+Transfer-Encoding gets 411 and a close, a body that ends early gets 400, and
+a Content-Length over MAX_BODY_BYTES, however many digits it has, gets 413.
+A path number too long for int() names no channel or field: 404.
+Each answer, status line to body, is one write into the buffered `wfile`
+that `handle_one_request()` flushes; an interim `100 Continue` is flushed at
+once, because the client holds its body back until it arrives. The Date
+header's text is formatted once per second, and the Server header still
+reads `BaseHTTP/0.6 Python/<version>`, so answers are the bytes http.server
+sent.
 
 Each socket wait lasts at most REQUEST_TIMEOUT_S, so a stalled client holds
 its handler thread no longer: a body that stops arriving gets 408 and a
 close, and an idle connection or unfinished headers are closed unanswered.
-Errors that http.server finds itself (a malformed request line, an unknown
-method, an oversized header) are answered as the API's own refusals: a
-status line, a text/plain body and Connection: close. So is an HTTP/0.9
-request line, which http.server would answer with a bare body.
+Errors found before any route runs (a request line over MAX_LINE_BYTES, a
+malformed request line, an unknown method, an oversized header) are
+answered as the API's own refusals: a status line, a text/plain body and
+Connection: close. So is an HTTP/0.9 request line, which http.server would
+answer with a bare body.
 
 At most MAX_HANDLERS connections are served at once, each on its own thread.
 A connection past the cap is answered 503 at once by the accepting thread,
@@ -55,12 +62,14 @@ import argparse
 import json
 import logging
 import re
+import socketserver
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from itertools import islice
 from typing import Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import unquote_plus, urlparse
 
 from .store import MAX_FIELDS, AuthenticationError, TelemetryError, TelemetryStore, ValidationError
 
@@ -76,6 +85,22 @@ MAX_HEADER_LINES = 100  # header lines read, the blank one included, as in http.
 _FIELD_POSITIONS = {f"field{pos}": pos for pos in range(1, MAX_FIELDS + 1)}  # in position order
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
+_LENGTH_DIGITS = len(str(MAX_BODY_BYTES))  # a longer Content-Length, leading zeros aside, is too big
+
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+# The Server header http.server sent, kept so that answers stay byte for byte the same.
+_SERVER_TEXT = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date(second: int) -> str:
+    """The Date header's text for a Unix second, e.g. `Sun, 09 Sep 2001 01:46:40 GMT`."""
+    t = time.gmtime(second)
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
 
 
 def _version_number(word: str):
@@ -90,6 +115,31 @@ def _version_number(word: str):
     if len(numbers) != 2 or any(not (n.isascii() and n.isdigit()) or len(n) > 10 for n in numbers):
         return None
     return int(numbers[0]), int(numbers[1])
+
+
+def _parse_form(text: str) -> dict:
+    """{name: [value, ...]} of a form or query string, as `parse_qs(text)` gives it.
+
+    An item with no value is dropped. `+` and `%XX` are decoded only when the
+    text has them, by unquote_plus with errors="replace".
+    """
+    form: dict = {}
+    decode = "%" in text or "+" in text
+    for item in text.split("&"):
+        name, _, value = item.partition("=")
+        if value:
+            if decode:
+                name, value = unquote_plus(name), unquote_plus(value)
+            form.setdefault(name, []).append(value)
+    return form
+
+
+def _path_numbers(match) -> Optional[list]:
+    """The ints a route's path names, or None if one is too long for int()."""
+    try:
+        return [int(number) for number in match.groups()]
+    except ValueError:  # over the interpreter's int digit limit
+        return None
 
 
 def _coerce(text: str):
@@ -111,16 +161,46 @@ def _render_row(entry) -> str:
     return json.dumps(row)
 
 
-class TelemetryRequestHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class TelemetryRequestHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True  # small request/response pairs; avoid delayed-ACK stalls
     wbufsize = 64 * 1024  # an answer up to this size leaves in one write
     timeout = REQUEST_TIMEOUT_S  # a stalled client costs a thread only this long
 
+    def handle(self) -> None:
+        """Serve requests on the connection until one of them closes it."""
+        self.close_connection = True
+        self.handle_one_request()
+        while not self.close_connection:
+            self.handle_one_request()
+
+    def handle_one_request(self) -> None:
+        """Read, route and answer one request. An empty read, or a read or
+        write that times out, closes the connection unanswered."""
+        try:
+            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(self.raw_requestline) > MAX_LINE_BYTES:
+                self.requestline, self.command = "", None
+                self.send_error(414)
+                return
+            if not self.raw_requestline:
+                self.close_connection = True
+                return
+            if not self.parse_request():
+                return
+            route = getattr(self, "do_" + self.command, None)
+            if route is None:
+                self.send_error(501, f"Unsupported method ({self.command!r})")
+                return
+            route()
+            self.wfile.flush()
+        except TimeoutError as exc:
+            self.log_message("Request timed out: %r", exc)
+            self.close_connection = True
+
     def handle_expect_100(self) -> bool:
-        accepted = super().handle_expect_100()
+        self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         self.wfile.flush()  # the client sends its body only after this interim answer
-        return accepted
+        return True
 
     def parse_request(self) -> bool:
         """Read the request line and the header block, as http.server does,
@@ -133,7 +213,7 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         which an HTTP/1.1 client cannot read as an answer.
         """
         self.command = None
-        self.request_version = self.default_request_version
+        self.request_version = "HTTP/0.9"
         self.close_connection = True
         self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
@@ -206,25 +286,22 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
                 self.send_error(400, "Content-Length headers differ")
                 return None
 
-    def date_time_string(self, timestamp=None) -> str:
+    def date_time_string(self) -> str:
         """The Date header's text, formatted once per second."""
-        if timestamp is not None:
-            return super().date_time_string(timestamp)
         second = int(time.time())
         cached_second, text = self.server.date_header
         if second != cached_second:
-            text = super().date_time_string(second)
+            text = _http_date(second)
             self.server.date_header = (second, text)  # one tuple: a reader sees both or neither
         return text
 
-    def send_error(self, code, message=None, explain=None) -> None:
-        """Answer an error that http.server finds itself as the API answers one."""
-        self.request_version = self.protocol_version  # a status line even for `hello`
-        self.log_error("code %d, message %s", code, message)
-        self._refuse(code, message or self.responses[code][0])
+    def send_error(self, code: int, message: Optional[str] = None) -> None:
+        """Answer an error found before any route runs as the API answers one."""
+        self.log_message("code %d, message %s", code, message)
+        self._refuse(code, message or _PHRASES[code])
 
-    def log_message(self, fmt, *args):  # route access logs away from stderr
-        logger.debug("%s " + fmt, self.address_string(), *args)
+    def log_message(self, fmt, *args):  # access and error logs, at debug level
+        logger.debug("%s " + fmt, self.client_address[0], *args)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -234,15 +311,16 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         The body is read on every method; only a POST's body carries params.
         """
         url = urlparse(self.path)
-        params = parse_qs(url.query)
+        params = _parse_form(url.query)
         if "transfer-encoding" in self.headers:
             return self._refuse(411, "Transfer-Encoding is not supported; send Content-Length")
         raw_length = self.headers.get("content-length") or "0"
         if not raw_length.isascii() or not raw_length.isdigit():
             return self._refuse(400, "Content-Length must be a non-negative integer")
-        length = int(raw_length)
-        if length > MAX_BODY_BYTES:
+        digits = raw_length.lstrip("0") or "0"  # int() refuses text over 4,300 digits
+        if len(digits) > _LENGTH_DIGITS or int(digits) > MAX_BODY_BYTES:
             return self._refuse(413, f"request body over {MAX_BODY_BYTES} bytes")
+        length = int(digits)
         try:
             body = self.rfile.read(length)
         except TimeoutError:
@@ -254,7 +332,7 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
                 text = body.decode("utf-8")
             except UnicodeDecodeError:
                 return self._refuse(400, "request body must be UTF-8")
-            for key, values in parse_qs(text).items():
+            for key, values in _parse_form(text).items():
                 params.setdefault(key, []).extend(values)
         return url.path, params
 
@@ -269,14 +347,18 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         return values[0] if values else default
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if self.command != "HEAD":  # only an error answers HEAD, and without a body
-            self.wfile.write(body)
+        """Write the answer, status line to body, in one write."""
+        self.log_message('"%s" %s -', self.requestline, status)
+        connection = "Connection: close\r\n" if self.close_connection else ""
+        head = (
+            f"HTTP/1.1 {status} {_PHRASES.get(status, '')}\r\n"
+            f"Server: {_SERVER_TEXT}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n{connection}\r\n"
+        ).encode("latin-1")
+        # Only an error answers HEAD, and without a body.
+        self.wfile.write(head if self.command == "HEAD" else head + body)
 
     def _send_text(self, status: int, text: str) -> None:
         self._send(status, text.encode("utf-8"), "text/plain; charset=utf-8")
@@ -309,14 +391,13 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         if request is None:
             return
         path, params = request
-        feeds = _FEEDS_RE.match(path)
-        last = _LAST_RE.match(path)
-        if feeds:
-            self._dispatch(self._get_feeds, int(feeds.group(1)), params)
-        elif last:
-            self._dispatch(self._get_last, int(last.group(1)), int(last.group(2)), params)
-        else:
-            self._send_text(404, "not found")
+        for pattern, route in ((_FEEDS_RE, self._get_feeds), (_LAST_RE, self._get_last)):
+            match = pattern.match(path)
+            numbers = match and _path_numbers(match)
+            if numbers:
+                self._dispatch(route, *numbers, params)
+                return
+        self._send_text(404, "not found")
 
     def _post_update(self, params) -> None:
         api_key = self._first(params, "api_key")
@@ -396,7 +477,8 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             self._send_text(200, str(value))
 
 
-class TelemetryHTTPServer(ThreadingHTTPServer):
+class TelemetryHTTPServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(

@@ -44,7 +44,7 @@ import json
 import logging
 import math
 import os
-import secrets
+import random
 import string
 import sys
 import threading
@@ -59,6 +59,8 @@ logger = logging.getLogger(__name__)
 
 KEY_LENGTH = 16
 KEY_ALPHABET = string.ascii_uppercase + string.digits
+# Keys come from os.urandom, as secrets.choice draws them, without loading hashlib.
+_KEY_RANDOM = random.SystemRandom()
 MAX_FIELDS = 8
 VISIBILITIES = ("private", "shared")
 
@@ -361,7 +363,7 @@ class TelemetryStore:
         """Two distinct keys that no channel uses."""
         keys = set()
         while len(keys) < 2:
-            key = "".join(secrets.choice(KEY_ALPHABET) for _ in range(KEY_LENGTH))
+            key = "".join(_KEY_RANDOM.choice(KEY_ALPHABET) for _ in range(KEY_LENGTH))
             if key not in self._used_keys:
                 keys.add(key)
         return keys

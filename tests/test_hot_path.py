@@ -4,19 +4,30 @@ On Python 3.10 and 3.11 a read such as `Occupancy.OCCUPIED` goes through
 `EnumType.__getattr__`, about ten times slower than a module global, so the
 functions every tick runs use the constants defined next to each enum
 (`controller.OCCUPIED`, `safety.PROLONGED_HOT`, ...). This test parses those
-functions and fails on any attribute read off one of the enum classes. It
-makes no timing assertion.
+functions and fails on any attribute read off one of the enum classes.
+
+A plain Enum's hash is the Python-level `Enum.__hash__`, so the enums whose
+members the tick path puts in sets or looks up in dicts take the C-level
+identity hash; a replay of each scenario must make no `Enum.__hash__` call.
+Neither check makes a timing assertion.
 """
 
 from __future__ import annotations
 
 import ast
+import enum
 import inspect
+import sys
 import textwrap
 
 import pytest
 
 from showersim import agent, controller, safety, sensors
+from showersim.config import default_run_config
+from showersim.runner import run_scenario
+from showersim.scenario import parse_scenario
+
+from conftest import SCENARIO_DIR
 
 ENUMS = {"Occupancy", "WaterMode", "PersonPose", "AlertKind", "GestureMeaning", "PreferenceMode"}
 
@@ -76,3 +87,31 @@ def test_the_constants_are_the_members():
         safety.OCCUPANCY_TIMEOUT,
     ) == tuple(safety.AlertKind)
     assert (safety.HELP, safety.OKAY) == tuple(safety.GestureMeaning)[:2]
+
+
+def enum_hash_calls(run) -> int:
+    """How many times `run()` calls the Python-level `Enum.__hash__`."""
+    code = enum.Enum.__hash__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCENARIO_DIR.glob("*.scn")))
+def test_a_replay_calls_no_enum_hash(name):
+    events = parse_scenario((SCENARIO_DIR / name).read_text())
+    assert enum_hash_calls(lambda: run_scenario(events, default_run_config(), seed=0)) == 0
+
+
+def test_the_hash_count_sees_a_plain_enum():
+    assert enum_hash_calls(lambda: hash(sensors.PersonPose.STANDING)) == 1
+

@@ -3,14 +3,19 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import re
 import socket
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import parse_qs
 
 import pytest
 import requests
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from showersim.agent import TelemetryClient
 from showersim.telemetry import server as server_module
@@ -727,6 +732,38 @@ class TestMalformedRequests:
         assert text
         assert sim_server.store.read_feed(ch["channel_id"], ch["read_key"], 10) == []
 
+    @pytest.mark.parametrize(
+        "path",
+        ["/channels/{big}/feeds.json?api_key=x", "/channels/1/fields/{big}/last.txt?api_key=x"],
+        ids=["channel-id", "field-position"],
+    )
+    def test_a_number_past_the_int_digit_limit_in_a_path_is_404(self, sim_server, path):
+        # int() refuses text over 4,300 digits; the handler thread used to die unanswered.
+        create_channel(sim_server)
+        path = path.replace("{big}", "1" * 5_000)
+        request = f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode("ascii")
+        (status_line, headers, text), = split_answers(raw_exchange(sim_server, request))
+        assert (status_line, text) == (b"HTTP/1.1 404 Not Found", b"not found")
+        assert b"Connection" not in headers
+
+    def test_a_content_length_past_the_int_digit_limit_is_413_then_closed(self, sim_server):
+        request = b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: " + b"9" * 5_000 + b"\r\n\r\n"
+        (status_line, headers, text), = split_answers(raw_exchange(sim_server, request))
+        assert status_line == b"HTTP/1.1 413 " + http.client.responses[413].encode()
+        assert headers[b"Connection"] == b"close"
+        assert text == b"request body over 65536 bytes"
+
+    @pytest.mark.parametrize("zeros", [4, 5_000])
+    def test_leading_zeros_in_a_content_length_frame_the_body(self, sim_server, zeros):
+        ch = create_channel(sim_server)
+        body = f"api_key={ch['write_key']}&field1=7&created_at=0".encode()
+        request = (
+            b"POST /update HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            b"Content-Length: %s%d\r\n\r\n" % (b"0" * zeros, len(body))
+        ) + body
+        (status_line, _, text), = split_answers(raw_exchange(sim_server, request))
+        assert (status_line, text) == (b"HTTP/1.1 200 OK", b"1")
+
     def test_equal_content_lengths_and_any_case_frame_the_body(self, sim_server):
         ch = create_channel(sim_server)
         body = f"api_key={ch['write_key']}&field1=7&created_at=0".encode()
@@ -772,7 +809,7 @@ class TestAnswerHeaders:
 
 
 class TestServerOwnErrors:
-    """Errors that http.server finds before any route runs answer like the API's own."""
+    """Errors found before any route runs answer like the API's own."""
 
     @pytest.mark.parametrize(
         "request_bytes, status",
@@ -950,3 +987,154 @@ class TestHandlerCap:
         finally:
             for conn in held:
                 conn.close()
+
+
+SERVER_TEXT = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}".encode()
+DATE_RE = re.compile(rb"\r\nDate: [A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT\r\n")
+
+
+def pinned(text: bytes) -> bytes:
+    """Answer bytes with `<server>` for the Server text and `<phrase N>` for status N's phrase."""
+    text = text.replace(b"<server>", SERVER_TEXT)
+    return re.sub(rb"<phrase (\d+)>", lambda m: http.client.responses[int(m[1])].encode(), text)
+
+
+def date_masked(reply: bytes) -> bytes:
+    """`reply` with each well-formed Date value replaced by `<date>`."""
+    return DATE_RE.sub(b"\r\nDate: <date>\r\n", reply)
+
+
+class TestPinnedAnswers:
+    """Whole answers, byte for byte but for the Date value: the bytes that
+    http.server's formatting gave, which clients may already parse. The status
+    phrases are the ones http.client lists, which differ between Python
+    versions (413 and 414)."""
+
+    TEXT = b"Content-Type: text/plain; charset=utf-8\r\n"
+
+    @pytest.mark.parametrize(
+        "request_bytes, answer",
+        [
+            (
+                b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: {n}\r\n\r\n"
+                b"api_key={write}&field1=7&created_at=2",
+                b"HTTP/1.1 200 OK\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
+                + b"Content-Length: 1\r\n\r\n2",
+            ),
+            (
+                b"GET /channels/{id}/feeds.json?api_key={read}&results=1 HTTP/1.1\r\nHost: test\r\n\r\n",
+                b"HTTP/1.1 200 OK\r\nServer: <server>\r\nDate: <date>\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 122\r\n\r\n"
+                b'{"channel": {"id": 1, "name": "shower", "field1": "distance"}, '
+                b'"feeds": [{"created_at": 0.5, "entry_id": 1, "field1": 6}]}',
+            ),
+            (
+                b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n",
+                b"HTTP/1.1 404 Not Found\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
+                + b"Content-Length: 9\r\n\r\nnot found",
+            ),
+            (
+                b"POST /update HTTP/1.1\r\nHost: test\r\nX-Note\r\nContent-Length: 0\r\n\r\n",
+                b"HTTP/1.1 400 Bad Request\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
+                + b"Content-Length: 47\r\nConnection: close\r\n\r\n"
+                b"header line must be a name, a colon and a value",
+            ),
+            (
+                b"POST /update HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+                b"HTTP/1.1 411 Length Required\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
+                + b"Content-Length: 55\r\nConnection: close\r\n\r\n"
+                b"Transfer-Encoding is not supported; send Content-Length",
+            ),
+            (
+                b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: 65537\r\n\r\n",
+                b"HTTP/1.1 413 <phrase 413>\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
+                + b"Content-Length: 29\r\nConnection: close\r\n\r\nrequest body over 65536 bytes",
+            ),
+            (
+                b"GET /" + b"a" * 65_521 + b" HTTP/1.1\r\n",  # a 65,537-byte request line
+                b"HTTP/1.1 414 <phrase 414>\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
+                + b"Content-Length: <length>\r\nConnection: close\r\n\r\n<phrase 414>",
+            ),
+            (
+                b"HEAD /update HTTP/1.1\r\nHost: test\r\n\r\n",
+                b"HTTP/1.1 501 Not Implemented\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
+                + b"Content-Length: 27\r\nConnection: close\r\n\r\n",
+            ),
+            (
+                b"POST /update HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+                b"Content-Length: {n}\r\n\r\napi_key={write}&field1=7&created_at=2",
+                b"HTTP/1.1 100 Continue\r\n\r\n"
+                b"HTTP/1.1 200 OK\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
+                + b"Content-Length: 1\r\n\r\n2",
+            ),
+        ],
+        ids=["post", "feeds", "not-found", "malformed-headers", "chunked", "oversized-body",
+             "long-request-line", "head", "expect-100"],
+    )
+    def test_answer_bytes(self, sim_server, request_bytes, answer):
+        ch = sim_server.store.create_channel("shower", ["distance"])
+        sim_server.store.write_update(ch.write_key, {1: 6}, 0.5)
+        request_bytes = (
+            request_bytes.replace(b"{write}", ch.write_key.encode())
+            .replace(b"{read}", ch.read_key.encode())
+            .replace(b"{id}", b"%d" % ch.channel_id)
+        )
+        request_bytes = request_bytes.replace(b"{n}", b"%d" % len(request_bytes.partition(b"\r\n\r\n")[2]))
+        answer = pinned(answer)
+        answer = answer.replace(b"<length>", b"%d" % len(http.client.responses[414]))
+        assert date_masked(raw_exchange(sim_server, request_bytes)) == answer
+
+    def test_busy_answer_bytes(self, two_handler_server):
+        server, _ = two_handler_server
+        stalled = [socket.create_connection(server.server_address[:2], timeout=5) for _ in range(2)]
+        try:
+            for sock in stalled:  # each holds a handler, waiting for the rest of its body
+                sock.sendall(b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: 10\r\n\r\napi")
+            reply = busy_exchange(server, b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n")
+        finally:
+            for sock in stalled:
+                sock.close()
+        assert reply == (
+            b"HTTP/1.1 503 Service Unavailable\r\n" + self.TEXT
+            + b"Content-Length: 43\r\nConnection: close\r\n\r\n"
+            b"server busy: 2 connections are being served"
+        )
+
+
+def test_the_server_loads_no_stdlib_http_server_email_ssl_or_hashlib():
+    # http.server loads http.client, email and ssl; secrets loads hashlib and OpenSSL.
+    unwanted = ("http.server", "http.client", "email", "ssl", "hashlib", "secrets")
+    for module, absent in [("showersim.telemetry.server", unwanted), ("showersim.cli", ("hashlib",))]:
+        code = f"import {module}, sys; print([m for m in {absent!r} if m in sys.modules])"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", ""), module
+
+
+FORM_TEXT = st.text(alphabet="ab=&+%2fzC3A9é ;", max_size=30)
+
+
+class TestParseForm:
+    @given(FORM_TEXT)
+    @example("&&")
+    @example("a")
+    @example("=v")
+    @example("a=")
+    @example("a=%zz")
+    @example("a=%C3%A9")
+    @example("a=+")
+    @example("a=1&a=2&b=3&a=4")
+    @example("a=b=c")
+    @example("a%3Db=%26&+=%2B")
+    @example("k=%ff%C3")
+    def test_as_parse_qs(self, text):
+        assert server_module._parse_form(text) == parse_qs(text)
+
+    def test_an_update_body(self):
+        body = "api_key=ABC&field1=12.5&field2=20&field3=hello+world&created_at=3.5"
+        assert server_module._parse_form(body) == {
+            "api_key": ["ABC"],
+            "field1": ["12.5"],
+            "field2": ["20"],
+            "field3": ["hello world"],
+            "created_at": ["3.5"],
+        }

@@ -67,6 +67,20 @@ class TestCreateChannel:
             seen.add(ch.read_key)
         assert len(seen) == 40
 
+    def test_keys_are_drawn_from_the_system_random(self, store, monkeypatch):
+        # SystemRandom draws from os.urandom, as secrets.choice does.
+        sources = []
+        system_choice = random.SystemRandom.choice
+
+        def choice(source, alphabet):
+            sources.append(type(source))
+            return system_choice(source, alphabet)
+
+        monkeypatch.setattr(random.SystemRandom, "choice", choice)
+        ch = make_channel(store)
+        assert KEY_RE.match(ch.write_key) and KEY_RE.match(ch.read_key)
+        assert sources == [random.SystemRandom] * 32  # 16 characters a key
+
     def test_ids_increment(self, store):
         assert make_channel(store).channel_id == 1
         assert make_channel(store).channel_id == 2
