@@ -1004,11 +1004,26 @@ def date_masked(reply: bytes) -> bytes:
     return DATE_RE.sub(b"\r\nDate: <date>\r\n", reply)
 
 
+def text_answer(status: bytes, body: bytes, close: bool = False, sent: bytes = None) -> bytes:
+    """A text/plain answer in `pinned` form; `sent` is the body as sent, if not `body` (HEAD)."""
+    return (
+        b"HTTP/1.1 " + status + b"\r\nServer: <server>\r\nDate: <date>\r\n"
+        b"Content-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\n" % len(body)
+        + (b"Connection: close\r\n" if close else b"") + b"\r\n"
+        + (body if sent is None else sent)
+    )
+
+
+NOPE = b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n"
+NOT_FOUND = text_answer(b"404 Not Found", b"not found")
+
+
 class TestPinnedAnswers:
     """Whole answers, byte for byte but for the Date value: the bytes that
     http.server's formatting gave, which clients may already parse. The status
     phrases are the ones http.client lists, which differ between Python
-    versions (413 and 414)."""
+    versions (413 and 414). A row of more than one request reads the answers
+    of a kept-alive connection, one after another."""
 
     TEXT = b"Content-Type: text/plain; charset=utf-8\r\n"
 
@@ -1067,9 +1082,66 @@ class TestPinnedAnswers:
                 b"HTTP/1.1 200 OK\r\nServer: <server>\r\nDate: <date>\r\n" + TEXT
                 + b"Content-Length: 1\r\n\r\n2",
             ),
+            (
+                b"GET /nope HTTP/2.0\r\nHost: test\r\n\r\n",
+                text_answer(b"505 HTTP Version Not Supported", b"Invalid HTTP version (2.0)", close=True),
+            ),
+            (
+                b"GET /nope HTTP/1.x\r\nHost: test\r\n\r\n",
+                text_answer(b"400 Bad Request", b"Bad request version ('HTTP/1.x')", close=True),
+            ),
+            (
+                b"GET /nope HTTP/1.00000000001\r\nHost: test\r\n\r\n",
+                text_answer(
+                    b"400 Bad Request", b"Bad request version ('HTTP/1.00000000001')", close=True
+                ),
+            ),
+            (
+                b"GET /nope x HTTP/1.1\r\nHost: test\r\n\r\n",
+                text_answer(b"400 Bad Request", b"Bad request syntax ('GET /nope x HTTP/1.1')", close=True),
+            ),
+            (
+                b"POST /update\r\nHost: test\r\n\r\n",
+                text_answer(b"400 Bad Request", b"Bad HTTP/0.9 request type ('POST')", close=True),
+            ),
+            (
+                b"HEAD /update\r\nHost: test\r\n\r\n",
+                text_answer(
+                    b"400 Bad Request", b"Bad HTTP/0.9 request type ('HEAD')", close=True, sent=b""
+                ),
+            ),
+            (b"GET /nope HTTP/1.0\r\n\r\n" + NOPE, text_answer(b"404 Not Found", b"not found", close=True)),
+            (b"GET /nope HTTP/1.0\r\nConnection: keep-alive\r\n\r\n" + NOPE, NOT_FOUND + NOT_FOUND),
+            (b"GET /nope HTTP/01.1\r\n\r\n" + NOPE, NOT_FOUND + NOT_FOUND),
+            (
+                b"GET //channels/{id}/fields/1/last.txt?api_key={read} HTTP/1.1\r\nHost: test\r\n\r\n",
+                text_answer(b"200 OK", b"6"),
+            ),
+            (
+                b"GET /channels/{id}/feeds.json?api_key=nope HTTP/1.1\r\nHost: test\r\n\r\n" + NOPE,
+                text_answer(b"401 Unauthorized", b"invalid key") + NOT_FOUND,
+            ),
+            (
+                b"GET /channels/99/feeds.json HTTP/1.1\r\nHost: test\r\n\r\n" + NOPE,
+                text_answer(b"404 Not Found", b"no channel 99") + NOT_FOUND,
+            ),
+            (
+                b"GET /channels/{id}/feeds.json?api_key={read}&results=x HTTP/1.1\r\nHost: test\r\n\r\n"
+                + NOPE,
+                text_answer(b"400 Bad Request", b"results must be an integer") + NOT_FOUND,
+            ),
+            (  # were the body read as a request, `hello` would get 400
+                b"GET /nope HTTP/1.1\r\nHost: test\r\nContent-Length: 7\r\n\r\nhello\r\n" + NOPE,
+                NOT_FOUND + NOT_FOUND,
+            ),
+            (b"\r\n" + NOPE, b""),
         ],
         ids=["post", "feeds", "not-found", "malformed-headers", "chunked", "oversized-body",
-             "long-request-line", "head", "expect-100"],
+             "long-request-line", "head", "expect-100", "http-2.0", "version-not-numbers",
+             "version-past-ten-digits", "four-word-line", "http-0.9-post", "http-0.9-head",
+             "http-1.0-closes", "http-1.0-keep-alive", "http-01.1-kept-alive", "double-slash-path",
+             "bad-key-kept-alive", "no-channel-kept-alive", "bad-results-kept-alive",
+             "get-body-skipped", "leading-blank-line"],
     )
     def test_answer_bytes(self, sim_server, request_bytes, answer):
         ch = sim_server.store.create_channel("shower", ["distance"])
