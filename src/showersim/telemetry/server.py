@@ -1,66 +1,28 @@
 """HTTP front end for the telemetry store.
 
-Endpoints:
-  POST /update                                   write one entry (form or query params)
-  POST /channels                                 create a channel (local admin, no key)
-  GET  /channels/<id>/feeds.json                 last entries, oldest first
-  GET  /channels/<id>/fields/<k>/last.txt        newest value of one field
-
-In simulation mode (--sim-time) the server trusts the client-supplied
-created_at so replays are deterministic, and an update without one is
-refused with 400; otherwise it stamps entries with its own clock. A form
-key that starts with `field` but is not field1..field8 gets 400. A refused
-call is answered with its store error's `status` (401 bad key, 400 invalid
-input such as a non-finite min_post_interval_s, 404 no such channel, 503
-closed store) and the error text as the body.
-
-The handler is a socketserver stream handler with its own keep-alive request
-loop, by the rules of the stdlib's http.server but without loading it (nor,
-through it, http.client, email and ssl). It reads the request line and the
-header block itself, the headers into a dict keyed by lower-case name. A
-header block that leaves unclear where the request ends gets 400 and a
-close: a line without a colon, whitespace before the colon, an obs-fold
-continuation line, or two Content-Length headers that differ. A request
-body is framed by Content-Length on every method (a GET reads and ignores
-it), so no byte of a body is ever run as the next request; any
-Transfer-Encoding gets 411 and a close, a body that ends early gets 400, and
-a Content-Length over MAX_BODY_BYTES, however many digits it has, gets 413.
-A path number too long for int() names no channel or field: 404.
-Each answer, status line to body, is one write into the buffered `wfile`
-that `handle_one_request()` flushes; an interim `100 Continue` is flushed at
-once, because the client holds its body back until it arrives. The Date
-header's text is formatted once per second, and the Server header still
-reads `BaseHTTP/0.6 Python/<version>`, so answers are the bytes http.server
-sent.
-
-Each socket wait lasts at most REQUEST_TIMEOUT_S, so a stalled client holds
-its handler thread no longer: a body that stops arriving gets 408 and a
-close, and an idle connection or unfinished headers are closed unanswered.
-Errors found before any route runs (a request line over MAX_LINE_BYTES, a
-malformed request line, an unknown method, an oversized header) are
-answered as the API's own refusals: a status line, a text/plain body and
-Connection: close. So is an HTTP/0.9 request line, which http.server would
-answer with a bare body.
+A request refused for its request line, its headers or the framing of its
+body is answered in plain text with `Connection: close`, and the connection
+is closed, so no byte of a body is ever read as the next request. A route's
+store error is answered with the error's `status` and text, and the
+connection stays open. The Server header still reads `BaseHTTP/0.6
+Python/<version>`, as http.server sent it, so answers stay the bytes that
+clients already parse.
 
 At most MAX_HANDLERS connections are served at once, each on its own thread.
-A connection past the cap is answered 503 at once by the accepting thread,
-which then closes it, so slow clients cannot pile up threads.
+One more is answered 503 by the accepting thread and closed, so slow clients
+cannot pile up threads.
 
-Feed rows are rendered once, in the only feed-page cache. Per channel the
-server keeps the JSON text of the newest rows, at most FEED_CACHE_ROWS, of
-the last `feeds.json` page it served, keyed by entry id; a longer page is
-rendered in full. When they reach back to the new page's first row,
-it asks the store only for the entries above its newest row and renders just
-those. The text cannot go stale: an entry never changes once appended, and a
-store never reuses an entry id. Each page's rows are published as a new dict
-that is never changed afterwards, so handler threads share them without a lock.
+Per channel the server keeps the rendered JSON text of the newest rows of the
+last `feeds.json` page it served, keyed by entry id. The text cannot go
+stale: an entry never changes once appended, and a store never reuses an
+entry id. Each page's rows are published as a new dict that is never changed
+afterwards, so handler threads share them without a lock.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import re
 import socketserver
 import sys
@@ -73,8 +35,6 @@ from urllib.parse import unquote_plus, urlparse
 
 from .store import MAX_FIELDS, AuthenticationError, TelemetryError, TelemetryStore, ValidationError
 
-logger = logging.getLogger(__name__)
-
 MAX_BODY_BYTES = 64 * 1024  # a full /update form is well under 1 KiB
 REQUEST_TIMEOUT_S = 30.0  # longest wait for a client's bytes; an answer's write gets as long
 MAX_HANDLERS = 64  # connections served at once; one more is answered 503 and closed
@@ -85,6 +45,7 @@ MAX_HEADER_LINES = 100  # header lines read, the blank one included, as in http.
 _FIELD_POSITIONS = {f"field{pos}": pos for pos in range(1, MAX_FIELDS + 1)}  # in position order
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
+_VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")  # as http.server: HTTP/01.1 is 1.1
 _LENGTH_DIGITS = len(str(MAX_BODY_BYTES))  # a longer Content-Length, leading zeros aside, is too big
 
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
@@ -101,20 +62,6 @@ def _http_date(second: int) -> str:
         f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
         f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
     )
-
-
-def _version_number(word: str):
-    """(major, minor) of a request line's `HTTP/x.y` word, or None if it is not one.
-
-    As in http.server: two dot-separated runs of at most ten digits, leading
-    zeros ignored.
-    """
-    if not word.startswith("HTTP/"):
-        return None
-    numbers = word[5:].split(".")
-    if len(numbers) != 2 or any(not (n.isascii() and n.isdigit()) or len(n) > 10 for n in numbers):
-        return None
-    return int(numbers[0]), int(numbers[1])
 
 
 def _parse_form(text: str) -> dict:
@@ -161,102 +108,79 @@ def _render_row(entry) -> str:
     return json.dumps(row)
 
 
+class _Refusal(Exception):
+    """A request refused for its request line, headers or body framing."""
+
+    def __init__(self, status: int, text: str):
+        super().__init__(text)
+        self.status = status
+
+
 class TelemetryRequestHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True  # small request/response pairs; avoid delayed-ACK stalls
     wbufsize = 64 * 1024  # an answer up to this size leaves in one write
     timeout = REQUEST_TIMEOUT_S  # a stalled client costs a thread only this long
 
     def handle(self) -> None:
-        """Serve requests on the connection until one of them closes it."""
-        self.close_connection = True
-        self.handle_one_request()
-        while not self.close_connection:
+        """Serve requests on the connection until one of them closes it. A
+        read or write that times out closes it unanswered."""
+        try:
             self.handle_one_request()
+            while not self.close_connection:
+                self.handle_one_request()
+        except TimeoutError:
+            pass
 
     def handle_one_request(self) -> None:
-        """Read, route and answer one request. An empty read, or a read or
-        write that times out, closes the connection unanswered."""
+        """Read, route and answer one request: the one place that answers a
+        refusal or a route's store error."""
+        self.close_connection = True  # the headers may keep it open; a refusal never does
+        self.command = None  # a refused request line is answered with its body, even for HEAD
         try:
-            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if len(self.raw_requestline) > MAX_LINE_BYTES:
-                self.requestline, self.command = "", None
-                self.send_error(414)
-                return
-            if not self.raw_requestline:
-                self.close_connection = True
-                return
-            if not self.parse_request():
-                return
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise _Refusal(414, _PHRASES[414])
+            requestline = str(line, "iso-8859-1").rstrip("\r\n")
+            words = requestline.split()
+            if not words:
+                return  # an empty read or a blank line: closed unanswered
+            version = (0, 9)  # a request line without a version word is HTTP/0.9
+            if len(words) >= 3:
+                match = _VERSION_RE.fullmatch(words[-1])
+                if match is None:
+                    raise _Refusal(400, f"Bad request version ({words[-1]!r})")
+                version = (int(match[1]), int(match[2]))
+                if version >= (2, 0):
+                    raise _Refusal(505, f"Invalid HTTP version ({words[-1][5:]})")
+            if not 2 <= len(words) <= 3:
+                raise _Refusal(400, f"Bad request syntax ({requestline!r})")
+            self.command, self.path = words[:2]
+            if len(words) == 2 and self.command != "GET":
+                raise _Refusal(400, f"Bad HTTP/0.9 request type ({self.command!r})")
+            if self.path.startswith("//"):
+                self.path = "/" + self.path.lstrip("/")  # not read as a scheme-relative URL
+            self.headers = self._read_headers()
+            if version < (1, 0):  # http.server would answer with a bare body, no status line
+                raise _Refusal(400, "request line must end with HTTP/1.0 or HTTP/1.1")
+            connection = self.headers.get("connection", "").lower()
+            self.close_connection = connection == "close" or (
+                version < (1, 1) and connection != "keep-alive"
+            )
+            self.expects_100 = (
+                version >= (1, 1) and self.headers.get("expect", "").lower() == "100-continue"
+            )
             route = getattr(self, "do_" + self.command, None)
             if route is None:
-                self.send_error(501, f"Unsupported method ({self.command!r})")
-                return
+                raise _Refusal(501, f"Unsupported method ({self.command!r})")
             route()
-            self.wfile.flush()
-        except TimeoutError as exc:
-            self.log_message("Request timed out: %r", exc)
-            self.close_connection = True
+        except (_Refusal, TelemetryError) as exc:
+            if isinstance(exc, _Refusal):
+                self.close_connection = True
+            self._send_text(exc.status, str(exc))
+        self.wfile.flush()
 
-    def handle_expect_100(self) -> bool:
-        self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        self.wfile.flush()  # the client sends its body only after this interim answer
-        return True
-
-    def parse_request(self) -> bool:
-        """Read the request line and the header block, as http.server does,
-        but with the headers read here into `self.headers`, a dict keyed by
-        lower-case name. Returns False once the request has been answered (or,
-        for an empty line, dropped).
-
-        An HTTP/0.9 request line (no version, or HTTP/0.9 itself) gets 400:
-        http.server would answer one with a bare body and no status line,
-        which an HTTP/1.1 client cannot read as an answer.
-        """
-        self.command = None
-        self.request_version = "HTTP/0.9"
-        self.close_connection = True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = self.requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:
-            version = _version_number(words[-1])
-            if version is None:
-                self.send_error(400, f"Bad request version ({words[-1]!r})")
-                return False
-            if version >= (2, 0):
-                self.send_error(505, f"Invalid HTTP version ({words[-1][5:]})")
-                return False
-            self.close_connection = version < (1, 1)
-            self.request_version = words[-1]
-        if not 2 <= len(words) <= 3:
-            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
-            return False
-        self.command, self.path = words[:2]
-        if len(words) == 2 and self.command != "GET":
-            self.send_error(400, f"Bad HTTP/0.9 request type ({self.command!r})")
-            return False
-        if self.path.startswith("//"):
-            self.path = "/" + self.path.lstrip("/")  # not read as a scheme-relative URL
-        self.headers = self._read_headers()
-        if self.headers is None:
-            return False
-        if self.request_version == "HTTP/0.9":
-            self.send_error(400, "request line must end with HTTP/1.0 or HTTP/1.1")
-            return False
-        connection = self.headers.get("connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive":
-            self.close_connection = False
-        expect = self.headers.get("expect", "").lower()
-        if expect == "100-continue" and self.request_version >= "HTTP/1.1":
-            return self.handle_expect_100()
-        return True
-
-    def _read_headers(self) -> Optional[dict]:
-        """The header block up to its blank line as {lower-case name: value},
-        or None once a malformed block has been answered.
+    def _read_headers(self) -> dict:
+        """The header block up to its blank line as {lower-case name: value}.
 
         A line over MAX_LINE_BYTES, or a block of more than MAX_HEADER_LINES
         lines with its blank line, gets 431, as from http.server. A line
@@ -265,26 +189,21 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
         leave it unclear where this request ends and the next begins.
         """
         headers: dict = {}
-        for count in range(MAX_HEADER_LINES + 1):
+        for _ in range(MAX_HEADER_LINES):
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if len(line) > MAX_LINE_BYTES:
-                self.send_error(431, "Line too long")
-                return None
-            if count == MAX_HEADER_LINES:
-                self.send_error(431, "Too many headers")
-                return None
+                raise _Refusal(431, "Line too long")
             if line in (b"\r\n", b"\n", b""):
                 return headers
             name, colon, value = str(line, "iso-8859-1").rstrip("\r\n").partition(":")
             if not colon or not name or " " in name or "\t" in name:
-                self.send_error(400, "header line must be a name, a colon and a value")
-                return None
+                raise _Refusal(400, "header line must be a name, a colon and a value")
             name, value = name.lower(), value.strip(" \t")
             if name not in headers:
                 headers[name] = value
             elif name == "content-length" and headers[name] != value:
-                self.send_error(400, "Content-Length headers differ")
-                return None
+                raise _Refusal(400, "Content-Length headers differ")
+        raise _Refusal(431, "Too many headers")
 
     def date_time_string(self) -> str:
         """The Date header's text, formatted once per second."""
@@ -295,51 +214,43 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
             self.server.date_header = (second, text)  # one tuple: a reader sees both or neither
         return text
 
-    def send_error(self, code: int, message: Optional[str] = None) -> None:
-        """Answer an error found before any route runs as the API answers one."""
-        self.log_message("code %d, message %s", code, message)
-        self._refuse(code, message or _PHRASES[code])
-
-    def log_message(self, fmt, *args):  # access and error logs, at debug level
-        logger.debug("%s " + fmt, self.client_address[0], *args)
-
     # -- plumbing ----------------------------------------------------------
 
     def _params(self):
-        """(path, params), or None once a malformed request has been answered.
+        """(path, params) of the request, its body read whole on every method.
 
-        The body is read on every method; only a POST's body carries params.
+        Only a POST's body carries params. A client that expects a `100
+        Continue` gets one only once the body's framing has been accepted and
+        there is a body to read.
         """
         url = urlparse(self.path)
         params = _parse_form(url.query)
         if "transfer-encoding" in self.headers:
-            return self._refuse(411, "Transfer-Encoding is not supported; send Content-Length")
+            raise _Refusal(411, "Transfer-Encoding is not supported; send Content-Length")
         raw_length = self.headers.get("content-length") or "0"
         if not raw_length.isascii() or not raw_length.isdigit():
-            return self._refuse(400, "Content-Length must be a non-negative integer")
+            raise _Refusal(400, "Content-Length must be a non-negative integer")
         digits = raw_length.lstrip("0") or "0"  # int() refuses text over 4,300 digits
         if len(digits) > _LENGTH_DIGITS or int(digits) > MAX_BODY_BYTES:
-            return self._refuse(413, f"request body over {MAX_BODY_BYTES} bytes")
+            raise _Refusal(413, f"request body over {MAX_BODY_BYTES} bytes")
         length = int(digits)
+        if length and self.expects_100:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()  # the client sends its body only after this interim answer
         try:
             body = self.rfile.read(length)
         except TimeoutError:
-            return self._refuse(408, f"request body not received within {self.timeout:g} s")
+            raise _Refusal(408, f"request body not received within {self.timeout:g} s") from None
         if len(body) < length:
-            return self._refuse(400, "request body ended before its Content-Length")
+            raise _Refusal(400, "request body ended before its Content-Length")
         if self.command == "POST":
             try:
                 text = body.decode("utf-8")
             except UnicodeDecodeError:
-                return self._refuse(400, "request body must be UTF-8")
+                raise _Refusal(400, "request body must be UTF-8") from None
             for key, values in _parse_form(text).items():
                 params.setdefault(key, []).extend(values)
         return url.path, params
-
-    def _refuse(self, status: int, text: str) -> None:
-        """Answer a request whose body cannot be framed or read, then close."""
-        self.close_connection = True
-        self._send_text(status, text)
 
     @staticmethod
     def _first(params, key, default=None):
@@ -348,7 +259,6 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
         """Write the answer, status line to body, in one write."""
-        self.log_message('"%s" %s -', self.requestline, status)
         connection = "Connection: close\r\n" if self.close_connection else ""
         head = (
             f"HTTP/1.1 {status} {_PHRASES.get(status, '')}\r\n"
@@ -363,39 +273,24 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
     def _send_text(self, status: int, text: str) -> None:
         self._send(status, text.encode("utf-8"), "text/plain; charset=utf-8")
 
-    def _send_json(self, status: int, obj) -> None:
-        self._send(status, json.dumps(obj).encode("utf-8"), "application/json")
-
-    def _dispatch(self, handler, *args) -> None:
-        try:
-            handler(*args)
-        except TelemetryError as exc:
-            self._send_text(exc.status, str(exc))
-
     # -- routes --------------------------------------------------------------
 
     def do_POST(self):
-        request = self._params()
-        if request is None:
-            return
-        path, params = request
+        path, params = self._params()
         if path == "/update":
-            self._dispatch(self._post_update, params)
+            self._post_update(params)
         elif path == "/channels":
-            self._dispatch(self._post_channels, params)
+            self._post_channels(params)
         else:
             self._send_text(404, "not found")
 
     def do_GET(self):
-        request = self._params()
-        if request is None:
-            return
-        path, params = request
+        path, params = self._params()
         for pattern, route in ((_FEEDS_RE, self._get_feeds), (_LAST_RE, self._get_last)):
             match = pattern.match(path)
             numbers = match and _path_numbers(match)
             if numbers:
-                self._dispatch(route, *numbers, params)
+                route(*numbers, params)
                 return
         self._send_text(404, "not found")
 
@@ -430,14 +325,12 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
             options["shared_with"] = params["shared_with"]
         name, fields = self._first(params, "name"), params.get("field", [])
         channel = self.server.store.create_channel(name, fields, **options)
-        self._send_json(
-            200,
-            {
-                "channel_id": channel.channel_id,
-                "write_key": channel.write_key,
-                "read_key": channel.read_key,
-            },
-        )
+        keys = {
+            "channel_id": channel.channel_id,
+            "write_key": channel.write_key,
+            "read_key": channel.read_key,
+        }
+        self._send(200, json.dumps(keys).encode("utf-8"), "application/json")
 
     def _get_feeds(self, channel_id: int, params) -> None:
         read_key = self._first(params, "api_key", "")

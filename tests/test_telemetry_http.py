@@ -791,6 +791,23 @@ class TestMalformedRequests:
         assert status_line == b"HTTP/1.1 200 OK"
         assert text == b"1"
 
+    @pytest.mark.parametrize(
+        "head, status_line",
+        [
+            (b"POST /update HTTP/1.1\r\nContent-Length: 70000\r\n", b"HTTP/1.1 413 "),
+            (b"POST /update HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", b"HTTP/1.1 411 "),
+            (b"POST /update HTTP/1.1\r\nContent-Length: x\r\n", b"HTTP/1.1 400 "),
+            (b"GET /nope HTTP/1.1\r\n", b"HTTP/1.1 404 "),
+        ],
+        ids=["oversized-body", "chunked-body", "non-integer-length", "no-body"],
+    )
+    def test_no_100_continue_without_a_body_to_read(self, sim_server, head, status_line):
+        # A client that waits for the 100 would send a body the server never reads.
+        reply = raw_exchange(sim_server, head + b"Host: test\r\nExpect: 100-continue\r\n\r\n")
+        assert not reply.startswith(b"HTTP/1.1 100")
+        (answer_status, _, _), = split_answers(reply)
+        assert answer_status.startswith(status_line)
+
 
 class TestAnswerHeaders:
     def test_the_date_header_follows_the_clock_second_by_second(self, sim_server, monkeypatch):
