@@ -13,10 +13,13 @@ One more is answered 503 by the accepting thread and closed, so slow clients
 cannot pile up threads.
 
 Per channel the server keeps the rendered JSON text of the newest rows of the
-last `feeds.json` page it served, keyed by entry id. The text cannot go
-stale: an entry never changes once appended, and a store never reuses an
-entry id. Each page's rows are published as a new dict that is never changed
-afterwards, so handler threads share them without a lock.
+last `feeds.json` page it served, keyed by entry id, and the text of the
+page's head, the channel's id, name and field names, rendered on its first
+read. The text cannot go stale: an entry never changes once appended, a
+channel never changes once created, and a store never reuses an entry or
+channel id. Each page's rows are published as a new dict that is never
+changed afterwards, so handler threads share them without a lock. A row is
+rendered from the store's JSON_TEXT, as json.dumps would write it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,14 @@ from itertools import islice
 from typing import Optional
 from urllib.parse import unquote_plus, urlparse
 
-from .store import MAX_FIELDS, AuthenticationError, TelemetryError, TelemetryStore, ValidationError
+from .store import (
+    JSON_TEXT,
+    MAX_FIELDS,
+    AuthenticationError,
+    TelemetryError,
+    TelemetryStore,
+    ValidationError,
+)
 
 MAX_BODY_BYTES = 64 * 1024  # a full /update form is well under 1 KiB
 REQUEST_TIMEOUT_S = 30.0  # longest wait for a client's bytes; an answer's write gets as long
@@ -43,6 +53,7 @@ MAX_LINE_BYTES = 65_536  # longest request or header line, as in http.server
 MAX_HEADER_LINES = 100  # header lines read, the blank one included, as in http.server
 
 _FIELD_POSITIONS = {f"field{pos}": pos for pos in range(1, MAX_FIELDS + 1)}  # in position order
+_ROW_KEYS = tuple(f', "field{pos}": ' for pos in range(MAX_FIELDS + 1))  # feed row key texts
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
 _VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")  # as http.server: HTTP/01.1 is 1.1
@@ -102,10 +113,22 @@ def _coerce(text: str):
 
 
 def _render_row(entry) -> str:
-    row = {"created_at": entry.created_at, "entry_id": entry.entry_id}
-    for position, value in entry.values.items():  # read_feed gives them in position order
-        row[f"field{position}"] = value
-    return json.dumps(row)
+    """The text json.dumps gives for the row
+    {"created_at": ..., "entry_id": ..., "field1": ..., ...} of an entry."""
+    text = JSON_TEXT
+    fields = "".join(  # read_feed gives the values in position order
+        [f"{_ROW_KEYS[pos]}{text[type(value)](value)}" for pos, value in entry.values.items()]
+    )
+    return f'{{"created_at": {entry.created_at!r}, "entry_id": {entry.entry_id}{fields}}}'
+
+
+def _page_head(channel) -> str:
+    """A feeds.json page up to its first row: the text json.dumps gives for
+    {"channel": {"id": ..., "name": ..., "field1": ..., ...}, "feeds": [...]}."""
+    channel_obj = {"id": channel.channel_id, "name": channel.name}
+    for position, field_name in enumerate(channel.field_names, start=1):
+        channel_obj[f"field{position}"] = field_name
+    return f'{{"channel": {json.dumps(channel_obj)}, "feeds": ['
 
 
 class _Refusal(Exception):
@@ -345,16 +368,15 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
         # row if there are `results` of them or they start at entry 1.
         after = next(reversed(cached)) if cached and (results <= len(cached) or 1 in cached) else 0
         entries = self.server.store.read_feed(channel_id, read_key, results, user=user, after=after)
-        channel = self.server.store.channel(channel_id)
-        channel_obj = {"id": channel.channel_id, "name": channel.name}
-        for position, field_name in enumerate(channel.field_names, start=1):
-            channel_obj[f"field{position}"] = field_name
+        head = self.server.page_heads.get(channel_id)
+        if head is None:  # a channel's id, name and field names never change
+            head = _page_head(self.server.store.channel(channel_id))
+            self.server.page_heads[channel_id] = head
         kept = min(results - len(entries), len(cached)) if after else 0
         rows = dict(islice(cached.items(), len(cached) - kept, None))
         for entry in entries:
             rows[entry.entry_id] = _render_row(entry)
-        # The text json.dumps gives for {"channel": channel_obj, "feeds": [...]}.
-        body = f'{{"channel": {json.dumps(channel_obj)}, "feeds": [{", ".join(rows.values())}]}}'
+        body = f'{head}{", ".join(rows.values())}]}}'
         if len(rows) > FEED_CACHE_ROWS:
             rows = dict(islice(rows.items(), len(rows) - FEED_CACHE_ROWS, None))
         self.server.feed_rows[channel_id] = rows
@@ -385,6 +407,7 @@ class TelemetryHTTPServer(socketserver.ThreadingTCPServer):
         self.store = store
         self.sim_time = sim_time
         self.feed_rows: dict = {}  # channel id -> {entry id: row JSON} of its last page
+        self.page_heads: dict = {}  # channel id -> its feeds.json text before the first row
         self.date_header = (None, "")  # (whole second, Date header text) of the latest answer
         self._handler_slots = threading.BoundedSemaphore(MAX_HANDLERS)
         self._thread: Optional[threading.Thread] = None

@@ -17,21 +17,29 @@ only above the id `after`, so a caller that keeps its last page (the HTTP
 server keeps its rendered rows) builds just the entries written since.
 
 On disk each channel appends one complete JSON record per line to its own
-log file, with channel metadata appended to channels.jsonl. Recovery reads
-each log a line at a time and scans the line with the C JSON scanner,
-appending to the columns as it goes; the whole text is never held. The first
-line that is not one JSON value ending in its newline (a torn record, a
-record spanning lines, nesting too deep to scan, bytes that are not UTF-8 or
-JSON), or whose record breaks an invariant the write path keeps (the next
-entry id, a finite non-decreasing created_at, field positions inside the
-schema, values that are ints, finite floats or text), marks a crashed
-writer: the log is truncated at that line with a warning, so the feed is
-always a prefix of what was acknowledged. A channels.jsonl record is held to
-create_channel's rules, because both build the channel with the Channel
-constructor, which checks the schema and holds the defaults: a record it
-refuses, one with an unknown key, or one whose id or a key is already taken
-is the torn point of that file. close() is final: later writes raise
-StoreClosedError.
+log file, with channel metadata appended to channels.jsonl. A record is the
+text json.dumps gives for it, built from JSON_TEXT, and goes to its file in
+one write(2) on an unbuffered handle, so no byte of it waits in a buffer. An
+append that fails or stops short (a full disk, say) is cut back off the
+file, leaving it as it was, stores nothing and raises StorageError, which
+the API answers with 503, as it does a file that cannot be opened; should
+the cut itself fail, the store closes, so no acknowledged write can follow
+a torn record.
+
+Recovery reads each log a line at a time and scans the line with the C JSON
+scanner, appending to the columns as it goes; the whole text is never held.
+The first line that is not one JSON value ending in its newline (a torn
+record, a record spanning lines, nesting too deep to scan, bytes that are
+not UTF-8 or JSON), or whose record breaks an invariant the write path
+keeps (the next entry id, a finite non-decreasing created_at, field
+positions inside the schema, values that are ints, finite floats or text),
+marks a crashed writer: the log is truncated at that line with a warning,
+so the feed is always a prefix of what was acknowledged. A channels.jsonl
+record is held to create_channel's rules, because both build the channel
+with the Channel constructor, which checks the schema and holds the
+defaults: a record it refuses, one with an unknown key, or one whose id or a
+key is already taken is the torn point of that file. close() is final:
+later writes raise StoreClosedError.
 
 Every refusal raises a TelemetryError subclass whose `status` is the HTTP
 status the API answers it with, so the HTTP server and the in-process
@@ -41,7 +49,6 @@ agent.StoreClient answer from one table.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import random
@@ -50,12 +57,10 @@ import sys
 import threading
 import time
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
-
-logger = logging.getLogger(__name__)
 
 KEY_LENGTH = 16
 KEY_ALPHABET = string.ascii_uppercase + string.digits
@@ -69,11 +74,26 @@ _ABSENT = object()  # in a row, a field position the entry does not carry
 _ABSENT_ROW = (_ABSENT,) * MAX_FIELDS
 _POSITIONS = range(1, MAX_FIELDS + 1)
 _INT_LOW, _INT_HIGH = -(10**4_300), 10**4_300  # json.dumps and json.loads refuse ints this long
+# The text json.dumps writes for a value of each kind the store accepts.
+# _unstorable refuses every other kind, and the values json.dumps would write
+# otherwise or not at all: NaN, the infinities and ints over 4,300 digits.
+JSON_TEXT = {int: int.__repr__, float: float.__repr__, str: encode_basestring_ascii}
+_VALUE_KEYS = tuple(f'"{pos}": ' for pos in range(MAX_FIELDS + 1))  # a log record's key texts
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning on this module's logger. logging, which loads traceback,
+    linecache and tokenize, is imported only when there is one to log."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _unstorable(values: dict):
     """The first position whose value the log cannot replay as written, or None:
-    a value must be an int of at most 4,300 digits, a finite float or a str."""
+    a value must be an int of at most 4,300 digits, a finite float or a str
+    that its JSON text gives back, so not one holding a high surrogate
+    followed by a low one, which JSON joins into one character."""
     for pos, value in values.items():
         kind = type(value)
         if kind is int:
@@ -82,7 +102,10 @@ def _unstorable(values: dict):
         elif kind is float:
             if not math.isfinite(value):
                 return pos
-        elif kind is not str:
+        elif kind is str:
+            if not value.isascii() and json.loads(encode_basestring_ascii(value)) != value:
+                return pos
+        else:
             return pos
     return None
 
@@ -139,6 +162,12 @@ class StoreClosedError(TelemetryError):
     status = 503
 
 
+class StorageError(TelemetryError):
+    """An append to a store file failed; nothing was stored."""
+
+    status = 503
+
+
 class Entry(NamedTuple):
     entry_id: int
     created_at: float
@@ -150,47 +179,61 @@ def _texts(value) -> bool:
     return type(value) in (list, tuple) and all(type(item) is str for item in value)
 
 
-@dataclass
 class Channel:
-    channel_id: int
-    name: str
-    write_key: str
-    read_key: str
-    field_names: list
-    visibility: str = "private"
-    shared_with: list = field(default_factory=list)
-    min_post_interval_s: float = 1.0
-    # Entry i + 1 is created_at[i] and values[i * width:(i + 1) * width]: a
-    # value per field position, or _ABSENT.
-    created_at: array = field(default_factory=lambda: array("d"), init=False, repr=False)
-    values: list = field(default_factory=list, init=False, repr=False)
-    last_values: dict = field(default_factory=dict, init=False)  # position -> its newest value
-    lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
+    """A channel's schema, keys and access, and its entries in columns.
 
-    def __post_init__(self) -> None:
-        if type(self.channel_id) is not int or self.channel_id < 1:
-            raise ValidationError(f"channel_id must be a positive int, got {self.channel_id!r}")
-        if type(self.name) is not str:
+    The constructor checks the schema and holds the defaults; its arguments
+    are the channels.jsonl record, meta().
+    """
+
+    def __init__(
+        self,
+        channel_id: int,
+        name: str,
+        write_key: str,
+        read_key: str,
+        field_names,
+        visibility: str = "private",
+        shared_with=(),
+        min_post_interval_s: float = 1.0,
+    ) -> None:
+        if type(channel_id) is not int or channel_id < 1:
+            raise ValidationError(f"channel_id must be a positive int, got {channel_id!r}")
+        if type(name) is not str:
             raise ValidationError("name must be text")
-        for key in (self.write_key, self.read_key):
+        for key in (write_key, read_key):
             if type(key) is not str or not key:
                 raise ValidationError("write_key and read_key must be non-empty text")
-        if not _texts(self.field_names) or not 1 <= len(self.field_names) <= MAX_FIELDS:
+        if not _texts(field_names) or not 1 <= len(field_names) <= MAX_FIELDS:
             raise ValidationError(f"a channel carries 1..{MAX_FIELDS} text field names")
-        if self.visibility not in VISIBILITIES:
+        if visibility not in VISIBILITIES:
             raise ValidationError(f"visibility must be one of {VISIBILITIES}")
-        if not _texts(self.shared_with):
+        if not _texts(shared_with):
             raise ValidationError("shared_with must be a list of user names")
-        interval = self.min_post_interval_s
+        interval = min_post_interval_s
         if type(interval) not in (int, float) or not 0 <= interval <= sys.float_info.max:
             raise ValidationError("min_post_interval_s must be a finite number >= 0")
-        self.field_names = list(self.field_names)
-        self.shared_with = list(self.shared_with)
+        self.channel_id = channel_id
+        self.name = name
+        self.write_key = write_key
+        self.read_key = read_key
+        self.field_names = list(field_names)
+        self.visibility = visibility
+        self.shared_with = list(shared_with)
         self.min_post_interval_s = float(interval)
+        # Entry i + 1 is created_at[i] and values[i * width:(i + 1) * width]: a
+        # value per field position, or _ABSENT.
+        self.created_at = array("d")
+        self.values: list = []
+        self.last_values: dict = {}  # position -> its newest value
+        self.lock = threading.Lock()
         self.width = len(self.field_names)
         self.row_of = _row_builder(range(1, self.width + 1))
+
+    def __repr__(self) -> str:
+        """The constructor's arguments and last_values; the feed is left out."""
+        items = [f"{key}={value!r}" for key, value in self.meta().items()]
+        return f"Channel({', '.join(items)}, last_values={self.last_values!r})"
 
     def append(self, created_at: float, row: tuple, carried) -> None:
         """Add the next entry: its row, a value per field position, and
@@ -209,8 +252,17 @@ class Channel:
         ]
 
     def meta(self) -> dict:
-        """The channels.jsonl record: the constructor's arguments, in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        """The channels.jsonl record: the constructor's arguments, in order."""
+        return {
+            "channel_id": self.channel_id,
+            "name": self.name,
+            "write_key": self.write_key,
+            "read_key": self.read_key,
+            "field_names": self.field_names,
+            "visibility": self.visibility,
+            "shared_with": self.shared_with,
+            "min_post_interval_s": self.min_post_interval_s,
+        }
 
 
 def _refuse_constant(name: str):
@@ -256,7 +308,7 @@ def _replay_log(path: Path, accept) -> None:
             good_end += len(line)
         else:
             return
-    logger.warning(
+    _warn(
         "truncating %s at byte %d: bad record (%s) and all after it dropped",
         path,
         good_end,
@@ -264,6 +316,16 @@ def _replay_log(path: Path, accept) -> None:
     )
     with path.open("r+b") as fh:
         fh.truncate(good_end)
+
+
+def _open_to_append(path: Path):
+    """`path` opened unbuffered for appending; an open that fails (too many
+    open files, say) raises StorageError. It logs no warning: importing
+    logging may need a file descriptor too."""
+    try:
+        return path.open("ab", buffering=0)
+    except OSError as exc:
+        raise StorageError(f"the store could not save the write: {exc.strerror}") from None
 
 
 def _entry_loader(channel: "Channel"):
@@ -352,9 +414,9 @@ class TelemetryStore:
             channel = Channel(channel_id, name, *self._fresh_keys(), field_names, **options)
             while self._dir is not None and (log := self._entry_log_path(channel_id)).exists():
                 # A log whose channel metadata was torn away: a new channel never adopts it.
-                logger.warning("%s belongs to no channel: id %d is not reused", log, channel_id)
+                _warn("%s belongs to no channel: id %d is not reused", log, channel_id)
                 channel_id += 1
-                channel = replace(channel, channel_id=channel_id)
+                channel.channel_id = channel_id
             self._persist_meta(channel)
             self._register(channel)
         return channel
@@ -386,9 +448,10 @@ class TelemetryStore:
         produce out-of-order timestamps. A field position that is not an int
         inside the schema (a bool is refused), a value that is not an int of
         at most 4,300 digits, a finite float or a str (the types the HTTP API
-        parses), or a NaN or infinite created_at raises ValidationError, and a
-        write after close() raises StoreClosedError; neither stores anything,
-        so every acknowledged entry replays as written.
+        parses), or a NaN or infinite created_at raises ValidationError, a
+        write after close() raises StoreClosedError, and an append the log
+        file refuses raises StorageError; none stores anything, so every
+        acknowledged entry replays as written.
         """
         channel = self._by_write_key.get(write_key)
         if channel is None:
@@ -458,10 +521,9 @@ class TelemetryStore:
     def _persist_meta(self, channel: Channel) -> None:
         if self._dir is None:
             return
-        with (self._dir / _META_FILE).open("ab") as fh:
-            fh.write(json.dumps(channel.meta()).encode("utf-8") + b"\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        line = json.dumps(channel.meta()).encode("utf-8") + b"\n"
+        with _open_to_append(self._dir / _META_FILE) as fh:
+            self._append(fh, line, sync=True)
 
     def _persist_entry(
         self, channel: Channel, entry_id: int, created_at: float, values: dict
@@ -470,15 +532,43 @@ class TelemetryStore:
             return
         fh = self._files.get(channel.channel_id)
         if fh is None:
-            fh = self._entry_log_path(channel.channel_id).open("ab")
+            fh = _open_to_append(self._entry_log_path(channel.channel_id))
             self._files[channel.channel_id] = fh
-        record = {
-            "entry_id": entry_id,
-            "created_at": created_at,
-            "values": {str(pos): val for pos, val in values.items()},
-        }
-        fh.write(json.dumps(record).encode("utf-8") + b"\n")
-        fh.flush()
+        # The bytes json.dumps would give for
+        # {"entry_id": ..., "created_at": ..., "values": {str(pos): value, ...}}.
+        text = JSON_TEXT
+        items = ", ".join([f"{_VALUE_KEYS[pos]}{text[type(v)](v)}" for pos, v in values.items()])
+        line = f'{{"entry_id": {entry_id}, "created_at": {created_at!r}, "values": {{{items}}}}}\n'
+        self._append(fh, line.encode("ascii"))
+
+    def _append(self, fh, line: bytes, sync: bool = False) -> None:
+        """Append `line` to the file open unbuffered as `fh` in one write(2),
+        then fsync it if `sync`.
+
+        A write that fails or stops short, or a failed fsync, is cut back off
+        the file, which is left as it was, and raises StorageError. The caller
+        holds the lock of the file's only writer, so the file ended where
+        this write began. If the cut fails too, the store closes: a record
+        appended after the torn one would be lost at replay.
+        """
+        written = 0
+        try:
+            written = fh.write(line)
+            if written == len(line):
+                if sync:
+                    os.fsync(fh.fileno())
+                return
+            fault = f"wrote {written} of {len(line)} bytes"
+        except OSError as exc:
+            fault = exc.strerror or repr(exc)
+        try:
+            os.ftruncate(fh.fileno(), fh.tell() - written)
+        except OSError as exc:
+            self._closed = True
+            _warn("closing the store: cannot cut a failed append off %s (%s)", fh.name, exc)
+        else:
+            _warn("append to %s failed (%s); nothing stored", fh.name, fault)
+        raise StorageError(f"the store could not save the write: {fault}")
 
     def _check_open(self) -> None:
         if self._closed:

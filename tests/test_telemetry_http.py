@@ -159,6 +159,40 @@ class TestUpdateEndpoint:
         assert response.status_code == 503
         assert len(sim_server.store.read_feed(ch["channel_id"], ch["read_key"], 10)) == 1
 
+    def test_a_write_the_log_file_refuses_is_503_and_leaves_it_as_it_was(self, tmp_path):
+        data = tmp_path / "data"
+        store = TelemetryStore(data)
+        ch = store.create_channel("shower", ["n"], min_post_interval_s=0)
+        store.write_update(ch.write_key, {1: 1}, 0.0)
+        store.close()
+        log = data / f"channel-{ch.channel_id}.log"
+        before = log.read_bytes()
+        # The log may not grow past 10 more bytes, as if the disk were full.
+        serve = (
+            "import resource, sys; from showersim.telemetry.server import main; "
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({len(before) + 10}, hard)); "
+            "main(sys.argv[1:])"
+        )
+        cmd = [sys.executable, "-c", serve, "--port", "0", "--data-dir", str(data), "--sim-time"]
+        with subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
+        ) as proc:
+            try:
+                url = proc.stdout.readline().strip().removeprefix("listening on ")
+                client = TelemetryClient(url)
+                try:
+                    for created_at in (1.0, 2.0):  # no byte of the first is left to flush
+                        assert client.post_update(ch.write_key, {1: 2}, created_at) == (
+                            "503 Service Unavailable",
+                            None,
+                        )
+                finally:
+                    client.close()
+            finally:
+                proc.kill()
+        assert log.read_bytes() == before
+
     def test_wall_clock_mode_ignores_client_created_at(self, wall_server):
         ch = create_channel(wall_server, min_post_interval_s=0)
         post_update(wall_server, ch["write_key"], {1: 1}, 12345.0)
@@ -1191,8 +1225,11 @@ class TestPinnedAnswers:
 
 
 def test_the_server_loads_no_stdlib_http_server_email_ssl_or_hashlib():
-    # http.server loads http.client, email and ssl; secrets loads hashlib and OpenSSL.
+    # http.server loads http.client, email and ssl; secrets loads hashlib and
+    # OpenSSL; dataclasses loads inspect, ast, dis and tokenize, as does logging
+    # through traceback and linecache.
     unwanted = ("http.server", "http.client", "email", "ssl", "hashlib", "secrets")
+    unwanted += ("dataclasses", "inspect", "ast", "dis", "tokenize")
     for module, absent in [("showersim.telemetry.server", unwanted), ("showersim.cli", ("hashlib",))]:
         code = f"import {module}, sys; print([m for m in {absent!r} if m in sys.modules])"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -6,6 +6,7 @@ import logging
 import random
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import threading
@@ -15,10 +16,11 @@ import unittest
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from showersim.telemetry.server import _render_row
 from showersim.telemetry.store import (
     AuthenticationError,
     Entry,
@@ -172,6 +174,7 @@ class TestWriteUpdate:
             {1: 1j},
             {1: 10**5000},
             {1: -(10**4300)},
+            {1: "a\ud800\udc00"},  # JSON would replay the pair as "a\U00010000"
         ],
         ids=[
             "bool-position",
@@ -190,6 +193,7 @@ class TestWriteUpdate:
             "complex",
             "int-too-long-to-write",
             "negative-int-too-long-to-write",
+            "joined-surrogate-pair",
         ],
     )
     def test_a_write_the_api_cannot_make_is_refused(self, store, tmp_path, values):
@@ -854,6 +858,235 @@ class TestClose:
             assert [e.entry_id for e in feed] == accepted
         finally:
             reopened.close()
+
+
+# The start of a fresh interpreter's script: a store over sys.argv[1],
+# raised(call, *args), which gives the name and status of what the call
+# raised, and refused(call, *args, limit=n), which makes the call while no
+# file may grow past n bytes (RLIMIT_FSIZE: a write that crosses it stops
+# short and the next one fails with EFBIG, as on a full disk).
+LIMITED_FILES = """
+import json, os, resource, sys
+from showersim.telemetry.store import TelemetryStore
+
+def raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return [type(exc).__name__, getattr(exc, "status", None)]
+
+def refused(call, *args, limit):
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        return raised(call, *args)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+store = TelemetryStore(sys.argv[1])
+"""
+
+ENTRY_LOG_FILLS = LIMITED_FILES + """
+ch = store.create_channel("shower", ["n"], min_post_interval_s=0)
+store.write_update(ch.write_key, {1: 1}, 0.0)
+log = os.path.join(sys.argv[1], f"channel-{ch.channel_id}.log")
+size = os.path.getsize(log)
+error = refused(store.write_update, ch.write_key, {1: 2}, 1.0, limit=size + 10)
+sizes = [size, os.path.getsize(log)]
+later = [store.write_update(ch.write_key, {1: n}, float(n)) for n in (3, 4)]
+store.close()
+print(json.dumps({"error": error, "sizes": sizes, "later": later, "read_key": ch.read_key}))
+"""
+
+CHANNELS_FILE_FILLS = LIMITED_FILES + """
+store.create_channel("a", ["n"])
+meta = os.path.join(sys.argv[1], "channels.jsonl")
+size = os.path.getsize(meta)
+error = refused(store.create_channel, "b", ["n"], limit=size + 10)
+sizes = [size, os.path.getsize(meta)]
+c = store.create_channel("c", ["n"])
+entry_id = store.write_update(c.write_key, {1: 7}, 0.0)
+store.close()
+c = [c.channel_id, c.write_key, c.read_key, entry_id]
+print(json.dumps({"error": error, "sizes": sizes, "c": c}))
+"""
+
+CUT_FAILS = LIMITED_FILES + """
+import errno
+
+def cannot_cut(fd, length):
+    raise OSError(errno.EIO, "Input/output error")
+
+os.ftruncate = cannot_cut
+ch = store.create_channel("shower", ["n"], min_post_interval_s=0)
+store.write_update(ch.write_key, {1: 1}, 0.0)
+size = os.path.getsize(os.path.join(sys.argv[1], f"channel-{ch.channel_id}.log"))
+error = refused(store.write_update, ch.write_key, {1: 2}, 1.0, limit=size + 10)
+later = raised(store.write_update, ch.write_key, {1: 3}, 2.0)
+print(json.dumps({"error": error, "later": later, "size": size, "read_key": ch.read_key}))
+"""
+
+NO_DESCRIPTOR_TO_SPARE = LIMITED_FILES + """
+ch = store.create_channel("shower", ["n"])
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (len(os.listdir("/proc/self/fd")) - 1, hard))
+error = raised(store.write_update, ch.write_key, {1: 1}, 0.0)
+resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+later = store.write_update(ch.write_key, {1: 2}, 0.0)
+store.close()
+print(json.dumps({"error": error, "later": later, "read_key": ch.read_key}))
+"""
+
+
+def run_script(script: str, data) -> dict:
+    """Run a LIMITED_FILES script over `data` in a fresh interpreter; the JSON it prints."""
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(data)], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+class TestFailedAppend:
+    """An append the file refuses stores nothing, leaves the file as it was
+    and answers 503, so the writes acknowledged after it replay as written."""
+
+    def test_an_entry_log_append(self, tmp_path):
+        data = tmp_path / "data"
+        out = run_script(ENTRY_LOG_FILLS, data)
+        assert out["error"] == ["StorageError", 503]
+        size, after = out["sizes"]
+        assert after == size
+        assert out["later"] == [2, 3]
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            reopened = TelemetryStore(data)
+        try:
+            assert reopened.read_feed(1, out["read_key"], 10) == [
+                Entry(1, 0.0, {1: 1}),
+                Entry(2, 3.0, {1: 3}),
+                Entry(3, 4.0, {1: 4}),
+            ]
+        finally:
+            reopened.close()
+
+    def test_a_channels_file_append(self, tmp_path):
+        data = tmp_path / "data"
+        out = run_script(CHANNELS_FILE_FILLS, data)
+        assert out["error"] == ["StorageError", 503]
+        size, after = out["sizes"]
+        assert after == size
+        channel_id, write_key, read_key, entry_id = out["c"]
+        assert (channel_id, entry_id) == (2, 1)
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            reopened = TelemetryStore(data)
+        try:
+            c = reopened.channel(2)
+            assert (c.name, c.write_key, c.read_key) == ("c", write_key, read_key)
+            assert reopened.read_feed(2, read_key, 10) == [Entry(1, 0.0, {1: 7})]
+            with pytest.raises(NotFoundError):
+                reopened.channel(3)
+        finally:
+            reopened.close()
+
+    def test_a_log_that_cannot_be_opened(self, tmp_path):
+        # No file descriptor is left for the channel's log, opened on its first write.
+        data = tmp_path / "data"
+        out = run_script(NO_DESCRIPTOR_TO_SPARE, data)
+        assert out["error"] == ["StorageError", 503]
+        assert out["later"] == 1
+        reopened = TelemetryStore(data)
+        try:
+            assert reopened.read_feed(1, out["read_key"], 10) == [Entry(1, 0.0, {1: 2})]
+        finally:
+            reopened.close()
+
+    def test_a_failed_cut_closes_the_store(self, tmp_path, caplog):
+        # The refused record's first bytes stay in the log; an entry appended
+        # after them would be lost at replay, so none is acknowledged.
+        data = tmp_path / "data"
+        out = run_script(CUT_FAILS, data)
+        assert out["error"] == ["StorageError", 503]
+        assert out["later"] == ["StoreClosedError", 503]
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            reopened = TelemetryStore(data)
+        try:
+            assert reopened.read_feed(1, out["read_key"], 10) == [Entry(1, 0.0, {1: 1})]
+            assert f"at byte {out['size']}:" in caplog.text
+        finally:
+            reopened.close()
+
+
+JSON_INTS = st.integers(-(10**4300 - 1), 10**4300 - 1)
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.30000000000000004]),
+)
+JOINED_SURROGATES = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+JSON_TEXTS = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\\x00\x1f\x7f\x85 é\U0001f6bf'),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),  # lone surrogates
+    )
+).filter(lambda text: not JOINED_SURROGATES.search(text))  # refused: JSON would join them
+# Field values in the caller's order: any positions of an eight-field channel.
+RECORD_VALUES = st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True).flatmap(
+    lambda positions: st.fixed_dictionaries(
+        {pos: st.one_of(JSON_INTS, JSON_FLOATS, JSON_TEXTS) for pos in positions}
+    )
+)
+
+
+class TestRecordText:
+    """A log record and a feed row hold the bytes json.dumps gives for them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(RECORD_VALUES, JSON_FLOATS), min_size=1, max_size=3))
+    @example(
+        [
+            (
+                {
+                    8: 'q"\\\x00\x1f\ud800é\U0001f6bf\udc00',
+                    6: 1.7976931348623157e308,
+                    5: 1e16,
+                    7: 0.30000000000000004,
+                    4: 5e-324,
+                    3: -0.0,
+                    2: -(10**4300 - 1),
+                    1: 10**4300 - 1,
+                },
+                -0.0,
+            ),
+            ({2: "", 1: 0}, 5e-324),
+        ]
+    )
+    def test_records_and_rows_are_json_dumps_bytes(self, writes):
+        writes = sorted(writes, key=lambda write: write[1])  # created_at never decreases
+        with tempfile.TemporaryDirectory() as data:
+            store = TelemetryStore(data)
+            names = [f"f{pos}" for pos in range(1, 9)]
+            ch = store.create_channel("shower", names, min_post_interval_s=0)
+            expected_log = b""
+            for entry_id, (values, created_at) in enumerate(writes, start=1):
+                assert store.write_update(ch.write_key, values, created_at) == entry_id
+                record = {
+                    "entry_id": entry_id,
+                    "created_at": float(created_at),
+                    "values": {str(pos): value for pos, value in values.items()},
+                }
+                expected_log += json.dumps(record).encode() + b"\n"
+            store.close()
+            assert (Path(data) / f"channel-{ch.channel_id}.log").read_bytes() == expected_log
+            feed = store.read_feed(ch.channel_id, ch.read_key, 10)
+            for entry in feed:
+                row = {"created_at": entry.created_at, "entry_id": entry.entry_id}
+                row.update((f"field{pos}", value) for pos, value in sorted(entry.values.items()))
+                assert _render_row(entry) == json.dumps(row)
+            reopened = TelemetryStore(data)
+            try:
+                assert repr(reopened.read_feed(ch.channel_id, ch.read_key, 10)) == repr(feed)
+            finally:
+                reopened.close()
 
 
 FIELDS = ("distance", "temperature", "note")
