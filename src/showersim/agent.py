@@ -5,6 +5,9 @@ fusion, post the mapped fields to the telemetry channel and, on display
 boundaries, render the console status block. A post goes over HTTP
 (TelemetryClient) or straight into an in-process store (StoreClient); both
 answer with the status line of the API, taken from the store error's status.
+TelemetryClient reads each answer's headers and body length by the rules
+telemetry-serve reads requests by (`telemetry.wire`); an answer it cannot
+frame reads `unreachable`, so the post stays queued.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .sensors import (
     ultrasonic_measure,
 )
 from .telemetry.store import MAX_FIELDS, TelemetryError, TelemetryStore
+from .telemetry.wire import MAX_LINE_BYTES, body_length, read_headers
 
 logger = logging.getLogger(__name__)
 
@@ -151,8 +155,6 @@ def _peer_closed(sock) -> bool:
     return True
 
 
-_MAX_LINE = 65_536  # longest status or header line read from an answer
-_MAX_HEADERS = 100
 _UNRESERVED = frozenset(string.ascii_letters + string.digits + "_.-~")  # quote_plus keeps these
 
 
@@ -166,9 +168,10 @@ class TelemetryClient:
     """Posts channel updates over the wire protocol on one keep-alive connection.
 
     Each post leaves in one write: the request head and its form body. The
-    answer is read from the socket's buffered file: the status line, the
-    headers up to the blank line, then Content-Length bytes of body. An
-    answer carrying `Connection: close` closes the socket after it.
+    answer is read from the socket's buffered file: the status line, then the
+    headers and Content-Length bytes of body under `telemetry.wire`'s rules.
+    An answer carrying `Connection: close` closes the socket after it; one
+    that cannot be framed closes it and reads `unreachable`.
     """
 
     def __init__(self, base_url: str, timeout_s: float = 5.0):
@@ -201,7 +204,7 @@ class TelemetryClient:
                     self._connect()
                 try:
                     self._sock.sendall(request)
-                    status_line = self._answers.readline(_MAX_LINE + 1)
+                    status_line = self._answers.readline(MAX_LINE_BYTES + 1)
                 except BrokenPipeError:
                     status_line = b""
                 if not status_line:
@@ -230,33 +233,19 @@ class TelemetryClient:
 
     def _read_answer(self, status_line: bytes) -> tuple:
         """(status code, status text, body) of the answer whose status line
-        was read; raises ValueError for an answer this client cannot frame."""
+        was read; raises ValueError, a wire.Refusal for its headers or body
+        length, for an answer this client cannot frame."""
         version, code, *reason = status_line.split(None, 2)
         if not (version.startswith(b"HTTP/") and len(code) == 3 and code.isdigit()):
             raise ValueError(f"bad status line {status_line[:100]!r}")
         if not status_line.endswith(b"\n"):
             raise ValueError("status line cut short or too long")
-        length, close = None, False
-        for _ in range(_MAX_HEADERS):
-            line = self._answers.readline(_MAX_LINE + 1)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line.endswith(b"\n"):
-                raise ValueError("answer headers cut short or too long")
-            name, _, value = line.partition(b":")
-            name, value = name.strip().lower(), value.strip()
-            if name == b"content-length" and value.isdigit():
-                length = int(value)
-            elif name == b"connection":
-                close = value.lower() == b"close"
-        else:
-            raise ValueError("too many answer headers")
-        if length is None:
-            raise ValueError("answer without a Content-Length")
+        headers = read_headers(self._answers)
+        length = body_length(headers, required=True)
         body = self._answers.read(length)
         if len(body) < length:
             raise ValueError("answer body cut short")
-        if close:
+        if headers.get("connection", "").lower() == "close":
             self.close()
         code = int(code)
         return code, f"{code} {reason[0].strip().decode('iso-8859-1') if reason else ''}", body

@@ -2,11 +2,12 @@
 
 A request refused for its request line, its headers or the framing of its
 body is answered in plain text with `Connection: close`, and the connection
-is closed, so no byte of a body is ever read as the next request. A route's
-store error is answered with the error's `status` and text, and the
-connection stays open. The Server header still reads `BaseHTTP/0.6
-Python/<version>`, as http.server sent it, so answers stay the bytes that
-clients already parse.
+is closed, so no byte of a body is ever read as the next request. The header
+block and the body's length are read by the rules in `wire`, which the device
+agent's client reads answers by too. A route's store error is answered with
+the error's `status` and text, and the connection stays open. The Server
+header still reads `BaseHTTP/0.6 Python/<version>`, as http.server sent it,
+so answers stay the bytes that clients already parse.
 
 At most MAX_HANDLERS connections are served at once, each on its own thread.
 One more is answered 503 by the accepting thread and closed, so slow clients
@@ -44,20 +45,17 @@ from .store import (
     TelemetryStore,
     ValidationError,
 )
+from .wire import MAX_BODY_BYTES, MAX_LINE_BYTES, Refusal, body_length, read_headers
 
-MAX_BODY_BYTES = 64 * 1024  # a full /update form is well under 1 KiB
 REQUEST_TIMEOUT_S = 30.0  # longest wait for a client's bytes; an answer's write gets as long
 MAX_HANDLERS = 64  # connections served at once; one more is answered 503 and closed
 FEED_CACHE_ROWS = 1_000  # newest rendered rows kept per channel; a longer page renders in full
-MAX_LINE_BYTES = 65_536  # longest request or header line, as in http.server
-MAX_HEADER_LINES = 100  # header lines read, the blank one included, as in http.server
 
 _FIELD_POSITIONS = {f"field{pos}": pos for pos in range(1, MAX_FIELDS + 1)}  # in position order
 _ROW_KEYS = tuple(f', "field{pos}": ' for pos in range(MAX_FIELDS + 1))  # feed row key texts
 _FEEDS_RE = re.compile(r"^/channels/(\d+)/feeds\.json$")
 _LAST_RE = re.compile(r"^/channels/(\d+)/fields/(\d+)/last\.txt$")
 _VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")  # as http.server: HTTP/01.1 is 1.1
-_LENGTH_DIGITS = len(str(MAX_BODY_BYTES))  # a longer Content-Length, leading zeros aside, is too big
 
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 # The Server header http.server sent, kept so that answers stay byte for byte the same.
@@ -131,14 +129,6 @@ def _page_head(channel) -> str:
     return f'{{"channel": {json.dumps(channel_obj)}, "feeds": ['
 
 
-class _Refusal(Exception):
-    """A request refused for its request line, headers or body framing."""
-
-    def __init__(self, status: int, text: str):
-        super().__init__(text)
-        self.status = status
-
-
 class TelemetryRequestHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True  # small request/response pairs; avoid delayed-ACK stalls
     wbufsize = 64 * 1024  # an answer up to this size leaves in one write
@@ -162,7 +152,7 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
         try:
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
             if len(line) > MAX_LINE_BYTES:
-                raise _Refusal(414, _PHRASES[414])
+                raise Refusal(414, _PHRASES[414])
             requestline = str(line, "iso-8859-1").rstrip("\r\n")
             words = requestline.split()
             if not words:
@@ -171,20 +161,20 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
             if len(words) >= 3:
                 match = _VERSION_RE.fullmatch(words[-1])
                 if match is None:
-                    raise _Refusal(400, f"Bad request version ({words[-1]!r})")
+                    raise Refusal(400, f"Bad request version ({words[-1]!r})")
                 version = (int(match[1]), int(match[2]))
                 if version >= (2, 0):
-                    raise _Refusal(505, f"Invalid HTTP version ({words[-1][5:]})")
+                    raise Refusal(505, f"Invalid HTTP version ({words[-1][5:]})")
             if not 2 <= len(words) <= 3:
-                raise _Refusal(400, f"Bad request syntax ({requestline!r})")
+                raise Refusal(400, f"Bad request syntax ({requestline!r})")
             self.command, self.path = words[:2]
             if len(words) == 2 and self.command != "GET":
-                raise _Refusal(400, f"Bad HTTP/0.9 request type ({self.command!r})")
+                raise Refusal(400, f"Bad HTTP/0.9 request type ({self.command!r})")
             if self.path.startswith("//"):
                 self.path = "/" + self.path.lstrip("/")  # not read as a scheme-relative URL
-            self.headers = self._read_headers()
+            self.headers = read_headers(self.rfile)
             if version < (1, 0):  # http.server would answer with a bare body, no status line
-                raise _Refusal(400, "request line must end with HTTP/1.0 or HTTP/1.1")
+                raise Refusal(400, "request line must end with HTTP/1.0 or HTTP/1.1")
             connection = self.headers.get("connection", "").lower()
             self.close_connection = connection == "close" or (
                 version < (1, 1) and connection != "keep-alive"
@@ -194,39 +184,13 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
             )
             route = getattr(self, "do_" + self.command, None)
             if route is None:
-                raise _Refusal(501, f"Unsupported method ({self.command!r})")
+                raise Refusal(501, f"Unsupported method ({self.command!r})")
             route()
-        except (_Refusal, TelemetryError) as exc:
-            if isinstance(exc, _Refusal):
+        except (Refusal, TelemetryError) as exc:
+            if isinstance(exc, Refusal):
                 self.close_connection = True
             self._send_text(exc.status, str(exc))
         self.wfile.flush()
-
-    def _read_headers(self) -> dict:
-        """The header block up to its blank line as {lower-case name: value}.
-
-        A line over MAX_LINE_BYTES, or a block of more than MAX_HEADER_LINES
-        lines with its blank line, gets 431, as from http.server. A line
-        without a colon, with whitespace in its name or folded onto the line
-        before, or two Content-Length headers that differ get 400: each would
-        leave it unclear where this request ends and the next begins.
-        """
-        headers: dict = {}
-        for _ in range(MAX_HEADER_LINES):
-            line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if len(line) > MAX_LINE_BYTES:
-                raise _Refusal(431, "Line too long")
-            if line in (b"\r\n", b"\n", b""):
-                return headers
-            name, colon, value = str(line, "iso-8859-1").rstrip("\r\n").partition(":")
-            if not colon or not name or " " in name or "\t" in name:
-                raise _Refusal(400, "header line must be a name, a colon and a value")
-            name, value = name.lower(), value.strip(" \t")
-            if name not in headers:
-                headers[name] = value
-            elif name == "content-length" and headers[name] != value:
-                raise _Refusal(400, "Content-Length headers differ")
-        raise _Refusal(431, "Too many headers")
 
     def date_time_string(self) -> str:
         """The Date header's text, formatted once per second."""
@@ -248,29 +212,21 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
         """
         url = urlparse(self.path)
         params = _parse_form(url.query)
-        if "transfer-encoding" in self.headers:
-            raise _Refusal(411, "Transfer-Encoding is not supported; send Content-Length")
-        raw_length = self.headers.get("content-length") or "0"
-        if not raw_length.isascii() or not raw_length.isdigit():
-            raise _Refusal(400, "Content-Length must be a non-negative integer")
-        digits = raw_length.lstrip("0") or "0"  # int() refuses text over 4,300 digits
-        if len(digits) > _LENGTH_DIGITS or int(digits) > MAX_BODY_BYTES:
-            raise _Refusal(413, f"request body over {MAX_BODY_BYTES} bytes")
-        length = int(digits)
+        length = body_length(self.headers)
         if length and self.expects_100:
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             self.wfile.flush()  # the client sends its body only after this interim answer
         try:
             body = self.rfile.read(length)
         except TimeoutError:
-            raise _Refusal(408, f"request body not received within {self.timeout:g} s") from None
+            raise Refusal(408, f"request body not received within {self.timeout:g} s") from None
         if len(body) < length:
-            raise _Refusal(400, "request body ended before its Content-Length")
+            raise Refusal(400, "request body ended before its Content-Length")
         if self.command == "POST":
             try:
                 text = body.decode("utf-8")
             except UnicodeDecodeError:
-                raise _Refusal(400, "request body must be UTF-8") from None
+                raise Refusal(400, "request body must be UTF-8") from None
             for key, values in _parse_form(text).items():
                 params.setdefault(key, []).extend(values)
         return url.path, params

@@ -373,6 +373,7 @@ def test_criterion_10_durability(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
+        proc.stdout.close()
 
     proc, url = _start_server(data_dir)
     try:
@@ -386,6 +387,7 @@ def test_criterion_10_durability(tmp_path):
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
+        proc.stdout.close()
 
     # hand-torn final record: the first 99 survive
     torn_dir = tmp_path / "torn-data"

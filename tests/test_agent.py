@@ -514,8 +514,15 @@ class TestTelemetryClientWire:
             b"garbage\r\n\r\n",
             b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\n1",
             b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n1",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000000\r\n\r\n1",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 3\r\n\r\n123",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 1\r\n\r\n1",
+            b"HTTP/1.1 200 OK\r\nX-Note\r\nContent-Length: 1\r\n\r\n1",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n",
         ],
-        ids=["garbled-status", "no-status-line", "no-content-length", "body-cut-short"],
+        ids=["garbled-status", "no-status-line", "no-content-length", "body-cut-short",
+             "huge-length", "differing-lengths", "chunked-beside-length", "no-colon",
+             "head-cut-by-end-of-stream"],
     )
     def test_an_answer_it_cannot_read_is_unreachable(self, answer):
         with canned_server([answer]) as url:

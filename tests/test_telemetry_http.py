@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import random
 import re
@@ -14,7 +15,7 @@ from urllib.parse import parse_qs
 
 import pytest
 import requests
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from showersim.agent import TelemetryClient
@@ -751,8 +752,9 @@ class TestMalformedRequests:
             b"X-Note\r\nContent-Length: {n}\r\n",
             b"Content-Length : {n}\r\n",
             b"X-Note: a\r\n folded\r\nContent-Length: {n}\r\n",
+            b"X-A: a\rb\r\nContent-Length: {n}\r\n",
         ],
-        ids=["differing-lengths", "no-colon", "space-before-colon", "obs-fold"],
+        ids=["differing-lengths", "no-colon", "space-before-colon", "obs-fold", "bare-cr"],
     )
     def test_a_malformed_header_block_is_400_then_closed(self, sim_server, head):
         ch = create_channel(sim_server)
@@ -1230,10 +1232,152 @@ def test_the_server_loads_no_stdlib_http_server_email_ssl_or_hashlib():
     # through traceback and linecache.
     unwanted = ("http.server", "http.client", "email", "ssl", "hashlib", "secrets")
     unwanted += ("dataclasses", "inspect", "ast", "dis", "tokenize")
-    for module, absent in [("showersim.telemetry.server", unwanted), ("showersim.cli", ("hashlib",))]:
+    agent_absent = ("socketserver", "showersim.telemetry.server", "http.client", "argparse")
+    for module, absent in [
+        ("showersim.telemetry.server", unwanted),
+        ("showersim.cli", ("hashlib",)),
+        ("showersim.agent", agent_absent),
+    ]:
         code = f"import {module}, sys; print([m for m in {absent!r} if m in sys.modules])"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", ""), module
+
+
+class Recorded(io.BytesIO):
+    """A recorded reply that http.client reads answers off, one after another:
+    it is both the socket and the socket's reading file."""
+
+    def makefile(self, mode):
+        return self
+
+    def close(self):
+        pass  # http.client closes its file after each answer's body
+
+
+def oracle_answers(reply: bytes) -> list:
+    """(status, Connection header, body) of each answer in `reply`, as the
+    stdlib http.client reads them; the whole reply must be answers."""
+    recorded = Recorded(reply)
+    answers = []
+    while recorded.tell() < len(reply):
+        response = http.client.HTTPResponse(recorded)
+        response.begin()
+        answers.append((response.status, response.getheader("Connection"), response.read()))
+    return answers
+
+
+# Header lines an /update request may add or repeat without changing its
+# framing; `{length}` is the request's own Content-Length text.
+STREAM_EXTRAS = [
+    b"Host: test",
+    b"X-Dup: 1",
+    b"X-Dup: 2",
+    b"Content-Length: {length}",
+    b"Connection: keep-alive",
+    b"Content-Type: application/x-www-form-urlencoded",
+]
+# The header lines of an /update request refused for its framing, and the
+# status it is refused with; its body still follows it on the stream.
+HOSTILE_HEADS = {
+    "differing-lengths": (b"Content-Length: {n}\r\nContent-Length: 1{n}\r\n", 400),
+    "no-colon": (b"X-Note\r\nContent-Length: {n}\r\n", 400),
+    "space-before-colon": (b"Content-Length : {n}\r\n", 400),
+    "obs-fold": (b"X-Note: a\r\n folded\r\nContent-Length: {n}\r\n", 400),
+    "bare-cr": (b"X-A: a\rb\r\nContent-Length: {n}\r\n", 400),
+    "chunked": (b"Transfer-Encoding: chunked\r\nContent-Length: {n}\r\n", 411),
+    "negative-length": (b"Content-Length: -{n}\r\n", 400),
+    "fraction-length": (b"Content-Length: {n}.0\r\n", 400),
+    "huge-length": (b"Content-Length: 1000000000000000\r\n", 413),
+    "length-past-int-limit": (b"Content-Length: " + b"9" * 5_000 + b"\r\n", 413),
+}
+KEPT_ALIVE = st.one_of(
+    st.tuples(
+        st.just("update"),
+        st.integers(-999, 999),  # field1
+        st.booleans(),  # the write key is right
+        st.sampled_from([b"{n}", b"0{n}", b"000{n}"]),
+        st.lists(st.sampled_from(STREAM_EXTRAS), max_size=3),
+    ),
+    st.just(("nope",)),
+)
+LAST = st.one_of(
+    st.none(),
+    st.tuples(st.just("update-close"), st.integers(-999, 999)),
+    st.tuples(st.just("hostile"), st.integers(-999, 999), st.sampled_from(sorted(HOSTILE_HEADS))),
+)
+
+
+def stream_request(spec, write_key: str):
+    """(bytes, status, closes) of one request of a stream, built from its spec."""
+    kind = spec[0]
+    if kind == "nope":
+        return b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n", 404, False
+    key = write_key if kind != "update" or spec[2] else "WRONGKEY00000000"
+    body = f"api_key={key}&field1={spec[1]}&created_at=0".encode()
+    n = b"%d" % len(body)
+    if kind == "update":
+        length = spec[3].replace(b"{n}", n)
+        lines = [b"Content-Length: " + length] + spec[4]
+        head = b"".join(line.replace(b"{length}", length) + b"\r\n" for line in lines)
+        status, closes = (200 if spec[2] else 401), False
+    elif kind == "update-close":
+        head, status, closes = b"Content-Length: %s\r\nConnection: close\r\n" % n, 200, True
+    else:
+        head, status = HOSTILE_HEADS[spec[2]]
+        head, closes = head.replace(b"{n}", n), True
+    return b"POST /update HTTP/1.1\r\n" + head + b"\r\n" + body, status, closes
+
+
+class TestRawStreams:
+    """Raw request streams, cut at random points, against a live server."""
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        kept=st.lists(KEPT_ALIVE, max_size=3),
+        last=LAST,
+        lf_only=st.booleans(),
+        cuts=st.lists(st.integers(1, 10_000), max_size=4),
+    )
+    @example(
+        kept=[("update", 5, True, b"0{n}", [])], last=("hostile", 7, "bare-cr"), lf_only=False, cuts=[30]
+    )
+    @example(
+        kept=[("nope",), ("update", 6, True, b"{n}", [])], last=None, lf_only=True, cuts=[40, 90]
+    )
+    def test_every_answer_follows_the_rules(self, sim_server, kept, last, lf_only, cuts):
+        ch = sim_server.store.create_channel("stream", ["n"], min_post_interval_s=0.0)
+        requests_ = [stream_request(spec, ch.write_key) for spec in kept + [last] if spec]
+        stream = b"".join(request for request, _, _ in requests_)
+        if lf_only:
+            stream = stream.replace(b"\r\n", b"\n")
+        cut_at = sorted({cut % len(stream) for cut in cuts if stream} - {0}) + [len(stream)]
+        with socket.create_connection(sim_server.server_address[:2], timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            try:
+                start = 0
+                for end in cut_at:
+                    sock.sendall(stream[start:end])
+                    start = end
+                    time.sleep(0.002)  # so the server reads each piece on its own
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # refused and closed before the rest was sent
+            reply = read_until_closed(sock)  # a 5 s timeout if the server kept it open
+
+        answers = oracle_answers(reply)
+        assert [status for status, _, _ in answers] == [status for _, status, _ in requests_]
+        closing = ["close" if closes else None for _, _, closes in requests_]
+        assert [connection for _, connection, _ in answers] == closing
+        # A 200 on /update stored exactly one new entry; no other answer stored any.
+        stored = [int(body) for status, _, body in answers if status == 200]
+        feed = sim_server.store.read_feed(ch.channel_id, ch.read_key, 100)
+        assert [entry.entry_id for entry in feed] == stored == list(range(1, len(stored) + 1))
+        deadline = time.monotonic() + 5
+        while sim_server._handler_slots._value < server_module.MAX_HANDLERS:
+            assert time.monotonic() < deadline, "a handler slot was never freed"
+            time.sleep(0.001)
 
 
 FORM_TEXT = st.text(alphabet="ab=&+%2fzC3A9é ;", max_size=30)
