@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import socketserver
 import sys
 import threading
@@ -425,6 +426,10 @@ class TelemetryHTTPServer(socketserver.ThreadingTCPServer):
             self._thread = None
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="telemetry-serve", description="Serve the channel telemetry API over HTTP."
@@ -440,14 +445,17 @@ def main(argv=None) -> int:
 
     store = TelemetryStore(args.data_dir)
     server = TelemetryHTTPServer(store, port=args.port, sim_time=args.sim_time)
-    print(f"listening on {server.url}", flush=True)
+    # SIGTERM stops the server as Ctrl-C does, so the store closes and checkpoints.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
+        print(f"listening on {server.url}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
         store.close()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

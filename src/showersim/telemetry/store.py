@@ -10,11 +10,12 @@ writes and on replay alike), so reading it never walks the feed.
 A channel holds its entries in columns, about 49 bytes per entry of five
 small fields: an entry's id is its index plus one, `created_at` is an array
 of doubles, and `values` is one flat list that each entry extends by a value
-for each field position (a private sentinel where the entry carries none),
-so entry i's values are values[i * width:(i + 1) * width]. read_feed builds
-Entry objects, values in position order, only for the page asked for and
-only above the id `after`, so a caller that keeps its last page (the HTTP
-server keeps its rendered rows) builds just the entries written since.
+for each field position (None where the entry carries none; no stored value
+is None), so entry i's values are values[i * width:(i + 1) * width].
+read_feed builds Entry objects, values in position order, only for the page
+asked for and only above the id `after`, so a caller that keeps its last
+page (the HTTP server keeps its rendered rows) builds just the entries
+written since.
 
 On disk each channel appends one complete JSON record per line to its own
 log file, with channel metadata appended to channels.jsonl. A record is the
@@ -25,6 +26,17 @@ file, leaving it as it was, stores nothing and raises StorageError, which
 the API answers with 503, as it does a file that cannot be opened; should
 the cut itself fail, the store closes, so no acknowledged write can follow
 a torn record.
+
+close() writes a checkpoint of each channel's columns beside its non-empty
+log (channel-N.checkpoint, JSON lines written a chunk of entries at a time
+to a temporary file and renamed into place). Its header names the channel,
+its keys and width, and the log bytes it covers with their CRC-32; its
+trailer gives the entry count and the CRC-32 of its chunk lines. Only
+acknowledged records are covered: a memory-only store, a second close()
+and a store that closed itself after a failed cut write none. Recovery
+loads a channel's checkpoint when every check holds and replays only the
+log after the bytes it covers; otherwise it warns, removes the checkpoint
+and replays the whole log, as it does a log that a crash left without one.
 
 Recovery reads each log a line at a time and scans the line with the C JSON
 scanner, appending to the columns as it goes; the whole text is never held.
@@ -56,6 +68,7 @@ import string
 import sys
 import threading
 import time
+import zlib
 from array import array
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -70,8 +83,10 @@ MAX_FIELDS = 8
 VISIBILITIES = ("private", "shared")
 
 _META_FILE = "channels.jsonl"
-_ABSENT = object()  # in a row, a field position the entry does not carry
-_ABSENT_ROW = (_ABSENT,) * MAX_FIELDS
+_CHECKPOINT_VERSION = 1
+_CHECKPOINT_ENTRIES = 256  # entries per chunk line: neither side holds the whole checkpoint
+_BLOCK_BYTES = 1 << 16  # bytes read at a time to take a log's CRC-32
+_checkpoint_json = json.JSONEncoder(separators=(",", ":")).encode
 _POSITIONS = range(1, MAX_FIELDS + 1)
 _INT_LOW, _INT_HIGH = -(10**4_300), 10**4_300  # json.dumps and json.loads refuse ints this long
 # The text json.dumps writes for a value of each kind the store accepts.
@@ -112,7 +127,7 @@ def _unstorable(values: dict):
 
 def _row_builder(keys):
     """The function that aligns a values dict to `keys`: a tuple of the value
-    at each key in turn, _ABSENT where the dict has none.
+    at each key in turn, None where the dict has none.
 
     A dict with an item per key is read in one C call, which raises KeyError
     if it holds a key that is not in `keys`.
@@ -120,21 +135,21 @@ def _row_builder(keys):
     keys = tuple(keys)
     width = len(keys)
     if width == 1:  # an itemgetter of one key gives the value, not a tuple
-        return lambda values: (values.get(keys[0], _ABSENT),)
+        return lambda values: (values.get(keys[0]),)
     every = itemgetter(*keys)
 
     def row_of(values: dict) -> tuple:
         if len(values) == width:
             return every(values)
-        return tuple(map(values.get, keys, _ABSENT_ROW))
+        return tuple(map(values.get, keys))
 
     return row_of
 
 
 def _carried(row) -> dict:
     """Position -> value for each field a row carries, in position order."""
-    if _ABSENT in row:
-        return {pos: value for pos, value in zip(_POSITIONS, row) if value is not _ABSENT}
+    if None in row:
+        return {pos: value for pos, value in zip(_POSITIONS, row) if value is not None}
     return dict(enumerate(row, 1))
 
 
@@ -222,7 +237,7 @@ class Channel:
         self.shared_with = list(shared_with)
         self.min_post_interval_s = float(interval)
         # Entry i + 1 is created_at[i] and values[i * width:(i + 1) * width]: a
-        # value per field position, or _ABSENT.
+        # value per field position, or None.
         self.created_at = array("d")
         self.values: list = []
         self.last_values: dict = {}  # position -> its newest value
@@ -274,8 +289,9 @@ def _refuse_constant(name: str):
 _scan_record = json.JSONDecoder(parse_constant=_refuse_constant).scan_once
 
 
-def _replay_log(path: Path, accept) -> None:
-    """Hand the record on each line of a JSON-lines log to `accept`, oldest first.
+def _replay_log(path: Path, accept, start: int = 0) -> None:
+    """Hand the record on each line of a JSON-lines log from byte `start` on
+    to `accept`, oldest first.
 
     Each line must hold exactly one JSON value followed by its newline. The
     first line that does not, or whose record `accept` refuses by raising
@@ -287,8 +303,9 @@ def _replay_log(path: Path, accept) -> None:
         fh = path.open("rb")
     except FileNotFoundError:
         return
-    good_end = 0  # byte offset of the line being read: where a torn log is cut
+    good_end = start  # byte offset of the line being read: where a torn log is cut
     with fh:
+        fh.seek(start)
         for line in fh:
             try:
                 text = line.decode("utf-8")
@@ -316,6 +333,109 @@ def _replay_log(path: Path, accept) -> None:
     )
     with path.open("r+b") as fh:
         fh.truncate(good_end)
+
+
+def _remove(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _log_crc(path: Path, size: int) -> tuple:
+    """(bytes read, their CRC-32) of the first `size` bytes of `path`, read a block at a time."""
+    crc = done = 0
+    with path.open("rb") as fh:
+        while done < size:
+            block = fh.read(min(_BLOCK_BYTES, size - done))
+            if not block:
+                break
+            crc = zlib.crc32(block, crc)
+            done += len(block)
+    return done, crc
+
+
+def _owner(channel: "Channel") -> dict:
+    """What a checkpoint header names of its channel."""
+    return {
+        "channel_id": channel.channel_id,
+        "write_key": channel.write_key,
+        "read_key": channel.read_key,
+        "width": channel.width,
+    }
+
+
+def _write_checkpoint(path: Path, channel: "Channel", log: Path) -> None:
+    """Write `channel`'s columns to `path` as a checkpoint of `log`, which
+    holds exactly their records, a chunk line of _CHECKPOINT_ENTRIES entries
+    at a time. A write that fails leaves none. The caller holds the lock."""
+    temp = path.with_name(path.name + ".tmp")
+    created_at, values, width = channel.created_at, channel.values, channel.width
+    try:
+        size, log_crc = _log_crc(log, sys.maxsize)
+        header = {"checkpoint": _CHECKPOINT_VERSION, **_owner(channel), "log_bytes": size}
+        header["log_crc32"] = log_crc
+        crc = 0
+        with temp.open("wb") as fh:
+            fh.write(_checkpoint_json(header).encode("ascii") + b"\n")
+            for start in range(0, len(created_at), _CHECKPOINT_ENTRIES):
+                stop = start + _CHECKPOINT_ENTRIES
+                chunk = {
+                    "created_at": created_at[start:stop].tolist(),
+                    "values": values[start * width : stop * width],  # None gives null
+                }
+                line = _checkpoint_json(chunk).encode("ascii") + b"\n"
+                crc = zlib.crc32(line, crc)
+                fh.write(line)
+            trailer = {"entries": len(created_at), "chunks_crc32": crc}
+            fh.write(_checkpoint_json(trailer).encode("ascii") + b"\n")
+        os.replace(temp, path)
+    except OSError as exc:  # a full disk, say: the next start replays more of the log
+        _warn("no checkpoint of %s written (%s)", log, exc)
+    finally:
+        _remove(temp)  # gone already once renamed
+
+
+def _load_checkpoint(fh, channel: "Channel", log: Path) -> int:
+    """Load `channel`'s columns and last_values from the checkpoint open as
+    `fh`, a chunk line at a time; the log bytes it covers. A checkpoint of
+    another format or channel, one whose log does not start with the bytes
+    it covers, or one whose trailer is missing or does not match its chunks
+    raises, leaving the channel as it was."""
+    header = json.loads(fh.readline())
+    if type(header) is not dict or header.get("checkpoint") != _CHECKPOINT_VERSION:
+        raise ValueError("not a checkpoint of this format")
+    owner = _owner(channel)
+    if {key: header.get(key) for key in owner} != owner:
+        raise ValueError("written for another channel")
+    covered, log_crc = header["log_bytes"], header["log_crc32"]
+    if type(covered) is not int or covered < 1 or _log_crc(log, covered) != (covered, log_crc):
+        raise ValueError(f"the log does not start with the {covered} bytes it covers")
+    width = channel.width
+    created_at, values = array("d"), []
+    crc, trailer = 0, None
+    for line in fh:
+        if trailer is not None:
+            raise ValueError("a line follows the trailer")
+        record = json.loads(line)
+        if "entries" in record:
+            trailer = record
+            continue
+        crc = zlib.crc32(line, crc)
+        created, chunk = record["created_at"], record["values"]
+        if type(chunk) is not list or len(chunk) != len(created) * width:
+            raise ValueError("a chunk's columns differ in length")
+        created_at.extend(created)
+        values.extend(chunk)
+    if trailer != {"entries": len(created_at), "chunks_crc32": crc}:
+        raise ValueError("its trailer is missing or does not match its chunks")
+    channel.created_at, channel.values = created_at, values
+    for pos in range(1, width + 1):  # the newest value at each position, newest entry first
+        for i in range(len(values) - width + pos - 1, -1, -width):
+            if values[i] is not None:
+                channel.last_values[pos] = values[i]
+                break
+    return covered
 
 
 def _open_to_append(path: Path):
@@ -352,12 +472,12 @@ def _entry_loader(channel: "Channel"):
             raise ValueError(f"created_at {created_at!r} is not finite and non-decreasing")
         if type(raw_values) is not dict or not raw_values:
             raise ValueError("values is not a non-empty object")
-        row = row_of(raw_values)
-        missing = row.count(_ABSENT)
-        if len(raw_values) + missing != width:
-            raise ValueError(f"a field position in {list(raw_values)} is outside the schema")
         if _unstorable(raw_values) is not None:
             raise ValueError("a value is not an int, a finite float or text")
+        row = row_of(raw_values)
+        missing = row.count(None)
+        if len(raw_values) + missing != width:
+            raise ValueError(f"a field position in {list(raw_values)} is outside the schema")
         append(created_at, row, _carried(row) if missing else enumerate(row, 1))
 
     return accept
@@ -378,7 +498,9 @@ class TelemetryStore:
         self._by_write_key: dict = {}
         self._used_keys: set = set()
         self._files: dict = {}
+        self._checkpointed: dict = {}  # channel id -> entries its checkpoint on disk holds
         self._closed = False
+        self._cut_failed = False
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
             self._replay()
@@ -388,7 +510,28 @@ class TelemetryStore:
     def _replay(self) -> None:
         _replay_log(self._dir / _META_FILE, self._load_channel)
         for channel in self._channels.values():
-            _replay_log(self._entry_log_path(channel.channel_id), _entry_loader(channel))
+            log = self._entry_log_path(channel.channel_id)
+            covered = self._from_checkpoint(channel, log)  # before the loader binds the columns
+            _replay_log(log, _entry_loader(channel), covered)
+
+    def _from_checkpoint(self, channel: Channel, log: Path) -> int:
+        """Load the channel from its checkpoint, if it has one that passes
+        every check; the log bytes loaded that way. A checkpoint that fails
+        one is removed with a warning, and the whole log replays."""
+        path = self._checkpoint_path(channel.channel_id)
+        try:
+            fh = path.open("rb")
+        except FileNotFoundError:
+            return 0
+        try:
+            with fh:
+                covered = _load_checkpoint(fh, channel, log)
+        except (OSError, LookupError, TypeError, ValueError, RecursionError) as exc:
+            _warn("ignoring checkpoint %s (%s): replaying the whole log", path, exc)
+            _remove(path)
+            return 0
+        self._checkpointed[channel.channel_id] = len(channel.created_at)
+        return covered
 
     def _load_channel(self, record) -> None:
         """Register the channel a channels.jsonl record describes; a record the
@@ -518,6 +661,9 @@ class TelemetryStore:
     def _entry_log_path(self, channel_id: int) -> Path:
         return self._dir / f"channel-{channel_id}.log"
 
+    def _checkpoint_path(self, channel_id: int) -> Path:
+        return self._dir / f"channel-{channel_id}.checkpoint"
+
     def _persist_meta(self, channel: Channel) -> None:
         if self._dir is None:
             return
@@ -564,7 +710,7 @@ class TelemetryStore:
         try:
             os.ftruncate(fh.fileno(), fh.tell() - written)
         except OSError as exc:
-            self._closed = True
+            self._closed = self._cut_failed = True
             _warn("closing the store: cannot cut a failed append off %s (%s)", fh.name, exc)
         else:
             _warn("append to %s failed (%s); nothing stored", fh.name, fault)
@@ -575,16 +721,27 @@ class TelemetryStore:
             raise StoreClosedError("the store is closed")
 
     def close(self) -> None:
-        """Close the logs; every later write raises StoreClosedError.
+        """Close the logs and checkpoint them; every later write raises
+        StoreClosedError.
 
         Each log is closed under its channel's lock, so an append that has
-        begun completes first.
+        begun completes first. Then the channel's columns are written to its
+        checkpoint, unless the checkpoint on disk holds them already. Only the
+        first close() writes checkpoints, and none is written once a failed
+        append could not be cut off its log, so a checkpoint covers only
+        acknowledged records.
         """
         with self._lock:
+            first = not self._closed and self._dir is not None
             self._closed = True
             channels = list(self._channels.values())
         for channel in channels:
+            channel_id = channel.channel_id
             with channel.lock:
-                fh = self._files.pop(channel.channel_id, None)
+                fh = self._files.pop(channel_id, None)
                 if fh is not None:
                     fh.close()
+                stale = len(channel.created_at) != self._checkpointed.get(channel_id, 0)
+                if first and stale and not self._cut_failed:
+                    path = self._checkpoint_path(channel_id)
+                    _write_checkpoint(path, channel, self._entry_log_path(channel_id))

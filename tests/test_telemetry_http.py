@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -1226,6 +1227,44 @@ class TestPinnedAnswers:
         )
 
 
+def test_sigterm_closes_the_store_so_a_restart_loads_its_checkpoint(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    cmd = [sys.executable, "-m", "showersim.telemetry.server", "--port", "0", "--data-dir", str(data), "--sim-time"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True) as proc:
+        try:
+            url = proc.stdout.readline().strip().removeprefix("listening on ")
+            ch = requests.post(url + "/channels", data={"name": "shower", "field": "n"}, timeout=5).json()
+            posted = requests.post(
+                url + "/update", data={"api_key": ch["write_key"], "field1": "7", "created_at": "5"}, timeout=5
+            )
+            assert posted.text == "1"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
+    assert (data / f"channel-{ch['channel_id']}.checkpoint").exists()
+
+    replayed = []  # log records handed to replay: none, as the checkpoint covers the log
+    full_loader = store_module._entry_loader
+
+    def counting_loader(channel):
+        accept = full_loader(channel)
+
+        def counted(record):
+            replayed.append(record)
+            accept(record)
+
+        return counted
+
+    monkeypatch.setattr(store_module, "_entry_loader", counting_loader)
+    reopened = TelemetryStore(data)
+    try:
+        assert reopened.read_feed(ch["channel_id"], ch["read_key"], 10) == [Entry(1, 5.0, {1: 7})]
+        assert replayed == []
+    finally:
+        reopened.close()
+
+
 def test_the_server_loads_no_stdlib_http_server_email_ssl_or_hashlib():
     # http.server loads http.client, email and ssl; secrets loads hashlib and
     # OpenSSL; dataclasses loads inspect, ast, dis and tokenize, as does logging
@@ -1236,6 +1275,7 @@ def test_the_server_loads_no_stdlib_http_server_email_ssl_or_hashlib():
     for module, absent in [
         ("showersim.telemetry.server", unwanted),
         ("showersim.cli", ("hashlib",)),
+        ("showersim.telemetry.store", ("pickle", "hashlib", "logging")),
         ("showersim.agent", agent_absent),
     ]:
         code = f"import {module}, sys; print([m for m in {absent!r} if m in sys.modules])"

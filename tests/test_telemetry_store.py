@@ -1016,6 +1016,269 @@ class TestFailedAppend:
             reopened.close()
 
 
+def checkpointed_store(data) -> None:
+    """Two channels with entries, closed cleanly: channel 1 has 2,100 entries
+    (several chunk lines), some without field 2, and channel 2 has 5."""
+    store = TelemetryStore(data)
+    shower = store.create_channel("shower", ["distance", "temperature", "note"])
+    room = store.create_channel("room", ["humidity"])
+    for i in range(2_100):
+        values = {1: 100 + i, 2: 20.5 + i, 3: f"note {i} é"}
+        if i % 4 == 1:
+            del values[2]
+        assert store.write_update(shower.write_key, values, float(i)) == i + 1
+    for i in range(5):
+        assert store.write_update(room.write_key, {1: 50 + i}, float(i)) == i + 1
+    store.close()
+
+
+def change_a_log_byte(data) -> dict:
+    log = data / "channel-1.log"
+    raw = log.read_bytes()
+    assert b'"1": 100,' in raw
+    log.write_bytes(raw.replace(b'"1": 100,', b'"1": 900,', 1))  # a record that still replays
+    return {}
+
+
+def cut_the_log(data) -> dict:
+    log = data / "channel-1.log"
+    log.write_bytes(log.read_bytes()[:-10])
+    return {}
+
+
+def change_a_chunk_digit(data) -> dict:
+    checkpoint = data / "channel-1.checkpoint"
+    lines = checkpoint.read_bytes().split(b"\n")
+    at = lines[2].index(b'"values":[') + len(b'"values":[')  # the second chunk's first value
+    digit = lines[2][at : at + 1]
+    assert digit.isdigit()
+    lines[2] = lines[2][:at] + str((int(digit) + 1) % 10).encode() + lines[2][at + 1 :]
+    checkpoint.write_bytes(b"\n".join(lines))
+    return {}
+
+
+def remove_the_trailer(data) -> dict:
+    checkpoint = data / "channel-1.checkpoint"
+    raw = checkpoint.read_bytes()
+    checkpoint.write_bytes(raw[: raw.rstrip(b"\n").rindex(b"\n") + 1])
+    return {}
+
+
+def copy_in_another_channels_checkpoint(data) -> dict:
+    shutil.copyfile(data / "channel-2.checkpoint", data / "channel-1.checkpoint")
+    return {}
+
+
+# A new channel that takes id 1 is written to by a process that is then killed.
+NEW_CHANNEL_KILLED = LIMITED_FILES + """
+ch = store.create_channel("new", ["n"])
+store.write_update(ch.write_key, {1: 5}, 0.0)
+print(json.dumps({"channel_id": ch.channel_id}))
+"""
+
+
+def delete_the_log_for_a_new_channel(data) -> dict:
+    (data / "channel-1.log").unlink()
+    (data / "channels.jsonl").unlink()  # so that a new channel takes id 1
+    assert run_script(NEW_CHANNEL_KILLED, data) == {"channel_id": 1}
+    return {}
+
+
+def append_a_torn_record(data) -> dict:
+    log = data / "channel-1.log"
+    covered = log.stat().st_size
+    with log.open("ab") as fh:
+        fh.write(b'{"entry_id": 2101, "created_at": 21')
+    return {"channel-1.log": covered}
+
+
+def fail_a_cut_then_close(data) -> dict:
+    out = run_script(CUT_FAILS + "store.close()\n", data)
+    assert out["error"] == ["StorageError", 503]
+    return {"channel-3.log": out["size"]}
+
+
+# case -> (edit, which returns the sizes of the logs it makes replay cut, and
+# the channel whose checkpoint is ignored with the reason the warning gives).
+CHECKPOINT_EDITS = {
+    "log-byte-changed": (change_a_log_byte, (1, "the log does not start with the")),
+    "log-cut-inside-the-covered-bytes": (cut_the_log, (1, "the log does not start with the")),
+    "chunk-digit-changed": (change_a_chunk_digit, (1, "its trailer is missing or does not match")),
+    "trailer-removed": (remove_the_trailer, (1, "its trailer is missing or does not match")),
+    "another-channels-checkpoint": (copy_in_another_channels_checkpoint, (1, "written for another channel")),
+    "log-deleted-and-id-reused": (delete_the_log_for_a_new_channel, (1, "written for another channel")),
+    "torn-record-after-the-covered-bytes": (append_a_torn_record, None),
+    "failed-cut-then-close": (fail_a_cut_then_close, None),
+}
+
+
+def loaded(directory, caplog) -> tuple:
+    """Open a store over `directory`: each channel's feed and last values, the
+    bytes of each log and file, and the warnings, with `directory` read as DIR."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+        store = TelemetryStore(directory)
+    try:
+        channels = {}
+        for channel_id in range(1, 5):
+            try:
+                ch = store.channel(channel_id)
+            except NotFoundError:
+                continue
+            feed = store.read_feed(channel_id, ch.read_key, 10**6)
+            channels[channel_id] = (repr(feed), repr(sorted(ch.last_values.items())))
+        logs = {path.name: path.read_bytes() for path in directory.glob("*.log")}
+        warnings = [r.getMessage().replace(str(directory), "DIR") for r in caplog.records]
+        files = sorted(path.name for path in directory.iterdir())
+    finally:
+        store.close()
+    return channels, logs, warnings, files
+
+
+class TestCheckpoint:
+    """A clean close() checkpoints each channel's columns; a reopen loads the
+    checkpoint and replays only the log written since."""
+
+    @pytest.mark.parametrize("case", list(CHECKPOINT_EDITS))
+    def test_a_reopen_gives_what_a_full_replay_gives(self, tmp_path, caplog, case):
+        edit, ignored = CHECKPOINT_EDITS[case]
+        data = tmp_path / "data"
+        checkpointed_store(data)
+        cuts = edit(data)
+        full = tmp_path / "full"
+        shutil.copytree(data, full)
+        for checkpoint in full.glob("*.checkpoint"):
+            checkpoint.unlink()
+
+        expected, expected_logs, expected_warnings, _ = loaded(full, caplog)
+        channels, logs, warnings, files = loaded(data, caplog)
+        assert channels == expected
+        assert all(feed != "[]" for feed, _ in expected.values())
+        assert logs == expected_logs
+        for name, size in cuts.items():
+            assert len(logs[name]) == size
+        checkpoint_warnings = [w for w in warnings if w.startswith("ignoring checkpoint")]
+        assert [w for w in warnings if w not in checkpoint_warnings] == expected_warnings
+        if ignored is None:
+            assert checkpoint_warnings == []
+        else:
+            channel_id, reason = ignored
+            name = f"channel-{channel_id}.checkpoint"
+            assert len(checkpoint_warnings) == 1
+            assert checkpoint_warnings[0].startswith(f"ignoring checkpoint DIR/{name} ({reason}")
+            assert name not in files  # removed, so the next start does not warn again
+        assert "channel-3.checkpoint" not in files  # the failed cut's store wrote none
+
+    def test_only_a_first_close_checkpoints_and_only_a_non_empty_log(self, tmp_path):
+        data = tmp_path / "data"
+        store = TelemetryStore(data)
+        used = store.create_channel("used", ["n"])
+        store.create_channel("no entries", ["n"])
+        store.write_update(used.write_key, {1: 1}, 0.0)
+        store.close()
+        assert sorted(path.name for path in data.iterdir()) == [
+            "channel-1.checkpoint",
+            "channel-1.log",
+            "channels.jsonl",
+        ]
+        (data / "channel-1.checkpoint").unlink()
+        store.close()
+        assert not (data / "channel-1.checkpoint").exists()
+
+    def test_a_checkpoint_is_rewritten_only_when_entries_were_added(self, tmp_path):
+        data = tmp_path / "data"
+        checkpointed_store(data)
+        checkpoint = data / "channel-1.checkpoint"
+        inode = checkpoint.stat().st_ino  # os.replace gives a rewritten one a new inode
+        TelemetryStore(data).close()
+        assert checkpoint.stat().st_ino == inode
+        store = TelemetryStore(data)
+        assert store.write_update(store.channel(1).write_key, {1: 7}, 5000.0) == 2_101
+        store.close()
+        assert checkpoint.stat().st_ino != inode
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            reopened = TelemetryStore(data)
+        try:
+            ch = reopened.channel(1)
+            assert reopened.read_feed(1, ch.read_key, 1) == [Entry(2_101, 5000.0, {1: 7})]
+            assert ch.last_values == {1: 7, 2: 2_119.5, 3: "note 2099 é"}
+        finally:
+            reopened.close()
+
+    def test_none_is_written_once_an_append_could_not_be_cut_during_close(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        out = run_script(CLOSE_RACES_A_FAILED_CUT, data)
+        assert out["error"] == ["StorageError", 503]
+        assert out["closed"]
+        assert out["files"] == ["channel-1.log", "channel-2.log", "channels.jsonl"]
+        with caplog.at_level(logging.WARNING, logger="showersim.telemetry.store"):
+            reopened = TelemetryStore(data)
+        try:
+            a_key, b_key = out["keys"]
+            assert reopened.read_feed(1, a_key, 10) == [Entry(1, 0.0, {1: 1})]
+            assert reopened.read_feed(2, b_key, 10) == [Entry(1, 0.0, {1: 1})]
+            assert f"channel-1.log at byte {out['size']}:" in caplog.text
+        finally:
+            reopened.close()
+
+    def test_a_checkpoint_that_cannot_be_written_is_skipped(self, tmp_path):
+        data = tmp_path / "data"
+        out = run_script(CHECKPOINT_FILLS, data)
+        assert out["error"] is None
+        assert out["descriptors"][1] == out["descriptors"][0] - 2  # both logs closed
+        assert out["files"] == ["channel-1.log", "channel-2.log", "channels.jsonl"]
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            reopened = TelemetryStore(data)
+        try:
+            for channel_id in (1, 2):
+                ch = reopened.channel(channel_id)
+                assert len(reopened.read_feed(channel_id, ch.read_key, 10**4)) == 2_000
+        finally:
+            reopened.close()
+
+
+# close() begins while an append to channel a holds its lock; the append
+# stops short and its cut fails, leaving a torn record in a's log.
+CLOSE_RACES_A_FAILED_CUT = LIMITED_FILES + """
+import errno, threading, time
+
+a = store.create_channel("a", ["n"], min_post_interval_s=0)
+b = store.create_channel("b", ["n"])
+store.write_update(a.write_key, {1: 1}, 0.0)
+store.write_update(b.write_key, {1: 1}, 0.0)
+unlimited = resource.getrlimit(resource.RLIMIT_FSIZE)
+closer = threading.Thread(target=store.close)
+
+def cut_fails_once_close_has_begun(fd, length):
+    closer.start()  # it waits for a's lock, which this append holds
+    while not raised(store.write_update, b.write_key, {1: 2}, 0.0):  # rate-limited until closed
+        time.sleep(0.001)
+    resource.setrlimit(resource.RLIMIT_FSIZE, unlimited)
+    raise OSError(errno.EIO, "Input/output error")
+
+os.ftruncate = cut_fails_once_close_has_begun
+size = os.path.getsize(os.path.join(sys.argv[1], f"channel-{a.channel_id}.log"))
+error = refused(store.write_update, a.write_key, {1: 2}, 1.0, limit=size + 10)
+closer.join(10)
+files = sorted(os.listdir(sys.argv[1]))
+keys = [a.read_key, b.read_key]
+print(json.dumps({"error": error, "size": size, "closed": not closer.is_alive(), "files": files, "keys": keys}))
+"""
+
+# Each checkpoint is about 20 kB; no file may grow past 1,000 bytes at close().
+CHECKPOINT_FILLS = LIMITED_FILES + """
+for name in ("a", "b"):
+    ch = store.create_channel(name, ["n"], min_post_interval_s=0)
+    for n in range(2000):
+        store.write_update(ch.write_key, {1: n}, float(n))
+descriptors = [len(os.listdir("/proc/self/fd"))]
+error = refused(store.close, limit=1000)
+descriptors.append(len(os.listdir("/proc/self/fd")))
+files = sorted(os.listdir(sys.argv[1]))
+print(json.dumps({"error": error, "descriptors": descriptors, "files": files}))
+"""
+
+
 JSON_INTS = st.integers(-(10**4300 - 1), 10**4300 - 1)
 JSON_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -1195,6 +1458,7 @@ any_values = st.one_of(
 
 class TestAcknowledgedMeansReplayable:
     @given(writes=st.lists(st.dictionaries(any_positions, any_values, max_size=3), max_size=12))
+    @example(writes=[{1: 10**4300 - 1, 2: -0.0, 3: "\ud800 é"}, {2: -(10**4300 - 1)}, {3: 1e-310}])
     @settings(max_examples=100, deadline=None)
     def test_reopening_gives_exactly_the_acknowledged_feed(self, writes):
         data = Path(tempfile.mkdtemp(prefix="store-acked-"))
@@ -1215,13 +1479,19 @@ class TestAcknowledgedMeansReplayable:
                 feed = store.read_feed(ch.channel_id, ch.read_key, 100)
                 assert repr(feed) == repr(built_from_scratch(acknowledged))  # repr tells 1 from 1.0
             store.close()
-            with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
-                reopened = TelemetryStore(data)
-            try:
-                feed = reopened.read_feed(ch.channel_id, ch.read_key, 100)
-                assert repr(feed) == repr(built_from_scratch(acknowledged))
-            finally:
-                reopened.close()
+            # The first reopen loads the checkpoint close() wrote; the second,
+            # with the checkpoints deleted, replays the whole log.
+            for load in ("checkpoint", "full replay"):
+                if load == "full replay":
+                    for checkpoint in data.glob("*.checkpoint"):
+                        checkpoint.unlink()
+                with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+                    reopened = TelemetryStore(data)
+                try:
+                    feed = reopened.read_feed(ch.channel_id, ch.read_key, 100)
+                    assert repr(feed) == repr(built_from_scratch(acknowledged)), load
+                finally:
+                    reopened.close()
         finally:
             shutil.rmtree(data, ignore_errors=True)
 
