@@ -18,8 +18,9 @@ import random
 import socket
 import string
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http import HTTPStatus
+from types import MappingProxyType
 from typing import Optional
 from urllib.parse import quote_plus, urlsplit
 
@@ -44,7 +45,7 @@ from .sensors import (
     sound_sample,
     ultrasonic_measure,
 )
-from .telemetry.store import MAX_FIELDS, TelemetryError, TelemetryStore
+from .telemetry.store import TelemetryError, TelemetryStore
 from .telemetry.wire import MAX_LINE_BYTES, body_length, read_headers
 
 logger = logging.getLogger(__name__)
@@ -86,9 +87,11 @@ class AgentConfig:
     display_every_s: float = 30.0
     write_key: str = ""
     server_url: str = ""
-    field_map: dict = field(default_factory=lambda: dict(DEFAULT_FIELD_MAP))
     sound_threshold: float = 0.5
     queue_limit: int = 120
+
+    # Not a field: no config key, constructor argument or replace() sets it.
+    field_map = MappingProxyType(DEFAULT_FIELD_MAP)
 
     def __post_init__(self) -> None:
         if self.tick_s <= 0:
@@ -100,14 +103,6 @@ class AgentConfig:
             )
         if self.display_every_s <= 0 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("display_every_s must be a positive multiple of tick_s")
-        positions = list(self.field_map)
-        if any(not (1 <= p <= MAX_FIELDS) for p in positions):
-            raise ValueError(f"field positions must lie in 1..{MAX_FIELDS}")
-        if len(set(self.field_map.values())) != len(positions):
-            raise ValueError("field map quantities must be unique")
-        unknown = set(self.field_map.values()) - set(DEFAULT_FIELD_MAP.values())
-        if unknown:
-            raise ValueError(f"unknown field map quantities: {sorted(unknown)}")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if not 0 <= self.sound_threshold <= 1:
@@ -324,7 +319,6 @@ class DeviceAgent:
         self.posts_refused = 0
         self.last_status = "no transport"
         self._humidity_flag = False
-        self._fields = sorted(cfg.field_map.items())  # (position, quantity), posted in order
 
     def tick(self, env: EnvironmentState, now: float) -> TickResult:
         rng = self.rng
@@ -370,7 +364,7 @@ class DeviceAgent:
             "mode_code": MODE_CODES[new_state.mode],
             "alert_code": ALERT_CODES[alerts[0].kind] if alerts else 0,
         }
-        payload = {pos: quantities[name] for pos, name in self._fields}
+        payload = {pos: quantities[name] for pos, name in DEFAULT_FIELD_MAP.items()}
         entry_id = self._post(payload, now)
 
         console = None

@@ -25,13 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--out", default="out")
-    target = run_p.add_mutually_exclusive_group()
-    target.add_argument("--server", help="post to an existing telemetry server URL")
-    target.add_argument(
-        "--embedded-server",
-        action="store_true",
-        help="post in-process into a memory-only telemetry store (the default)",
-    )
+    run_p.add_argument("--server", help="post to an existing telemetry server URL")
 
     analyze_p = sub.add_parser("analyze", help="label occupancy intervals in a feed CSV")
     analyze_p.add_argument("feed")
@@ -65,9 +59,9 @@ def _load(args):
 def _cmd_run(args) -> int:
     config = _load(args)
     events = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-    if args.server or args.embedded_server:
+    if args.server:
         try:
-            config.agent = replace(config.agent, server_url=args.server or "")
+            config.agent = replace(config.agent, server_url=args.server)
         except ValueError as exc:
             raise ConfigError(f"--server: {exc}") from None
     if config.agent.server_url and not config.agent.write_key:

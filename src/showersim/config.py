@@ -71,8 +71,6 @@ _KEYS = {
         for name, kind in get_type_hints(UltrasonicConfig).items()
         if kind is float and name != "mount_height"
     },
-    "user_id": ("profile", str),
-    "pin": ("profile", str),
     "preferred_temp": ("profile", _parse_float),
     "preference_mode": ("profile", str),
 }
@@ -124,17 +122,9 @@ def _build_sensors(options: dict) -> tuple:
 def _build_profile(options: dict) -> Optional[UserProfile]:
     if not options:
         return None
-    for required in ("user_id", "pin"):
-        if required not in options:
-            raise ConfigError(f"profile settings require {required}")
     mode = options.get("preference_mode", "auto")
     try:
         preference_mode = PreferenceMode(mode)
     except ValueError:
         raise ConfigError(f"preference_mode must be auto or fixed, got {mode!r}") from None
-    return UserProfile(
-        user_id=options["user_id"],
-        pin=options["pin"],
-        preferred_temp=options.get("preferred_temp"),
-        preference_mode=preference_mode,
-    )
+    return UserProfile(options.get("preferred_temp"), preference_mode)

@@ -1,14 +1,14 @@
 """Shower control state machine.
 
 Occupancy classification from the proximity reading, water-mode selection
-from the outdoor temperature, a hard scald ceiling on discharge
-temperature, and the LED outputs that stand in for the nozzle actuators.
+from the outdoor temperature and a hard scald ceiling on discharge
+temperature. The LED outputs that stand in for the nozzle actuators are not
+state: `actuator_outputs` derives them from the occupancy and the mode.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -49,9 +49,6 @@ MODE_LED = {WaterMode.COLD: "yellow", WaterMode.HOT: "green", WaterMode.NORMAL: 
 # Discharge setpoints used when no fixed user preference applies.
 NOMINAL_DISCHARGE_C = {WaterMode.HOT: 45.0, WaterMode.COLD: 20.0, WaterMode.NORMAL: 37.0}
 
-_PIN_RE = re.compile(r"^[0-9]{4}$")
-
-
 @dataclass(frozen=True)
 class ControllerConfig:
     activation_cm: float = 60.0
@@ -72,14 +69,10 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class UserProfile:
-    user_id: str
-    pin: str
     preferred_temp: Optional[float] = None
     preference_mode: PreferenceMode = PreferenceMode.AUTO
 
     def __post_init__(self) -> None:
-        if not _PIN_RE.match(self.pin):
-            raise ValueError("pin must be exactly 4 decimal digits")
         if self.preference_mode is PreferenceMode.FIXED and self.preferred_temp is None:
             raise ValueError("fixed preference requires preferred_temp")
 
@@ -90,7 +83,6 @@ class ControllerState:
     mode: WaterMode = WaterMode.OFF
     discharge_temp: float = 0.0
     occupied_since: Optional[float] = None
-    leds: frozenset = frozenset()
 
 
 def classify_occupancy(distance: float, prev: Occupancy, cfg: ControllerConfig) -> Occupancy:
@@ -159,9 +151,10 @@ def step(
     """Advance the state machine one tick from the ranger distance and temperature.
 
     While water_locked (a safety shut-off for this episode) an occupied
-    shower stays occupied but runs no water. Commands (mode and LED changes)
-    are emitted only when the corresponding piece of state actually changed.
-    A tick that changes nothing returns the same state object and no commands.
+    shower stays occupied but runs no water. Commands are emitted only for
+    what changed: the mode, and each LED that `actuator_outputs` lights for
+    the state before and not after, or after and not before. A tick that
+    changes nothing returns the same state object and no commands.
     """
     occupancy = classify_occupancy(distance, state.occupancy, cfg)
     if occupancy is OCCUPIED:
@@ -177,21 +170,20 @@ def step(
             discharge = clamp_discharge_temperature(profile.preferred_temp, cfg)
         else:
             discharge = clamp_discharge_temperature(NOMINAL_DISCHARGE_C[mode], cfg)
-    leds = _LEDS[occupancy, mode]
     if (
         occupancy is state.occupancy
         and mode is state.mode
         and discharge == state.discharge_temp
         and occupied_since == state.occupied_since
-        and leds == state.leds
     ):
         return state, []
 
     commands: list[str] = []
     if mode is not state.mode:
         commands.append("water off" if mode is OFF else f"mode {mode.value}")
+    before, leds = _LEDS[state.occupancy, state.mode], _LEDS[occupancy, mode]
     for color in LED_COLORS:
         after = color in leds
-        if after != (color in state.leds):
+        if after != (color in before):
             commands.append(f"led {color} {'on' if after else 'off'}")
-    return ControllerState(occupancy, mode, discharge, occupied_since, leds), commands
+    return ControllerState(occupancy, mode, discharge, occupied_since), commands

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .agent import DeviceAgent, StoreClient, TelemetryClient
+from .agent import DEFAULT_FIELD_MAP, DeviceAgent, StoreClient, TelemetryClient
 from .config import RunConfig, default_run_config
 from .controller import ControllerConfig, Occupancy, WaterMode, classify_occupancy
 from .scenario import ScenarioValidationError, apply_event
@@ -51,10 +51,10 @@ class Report:
     posts_refused: int = 0  # answered 4xx: the server will never take them
 
 
-def _shower_channel(store: TelemetryStore, field_map: dict):
-    """The run's private channel, its fields named in field-position order."""
-    field_names = [field_map[pos] for pos in sorted(field_map)]
-    return store.create_channel("shower", field_names)
+def _shower_channel(store: TelemetryStore):
+    """The run's private channel, its fields named after the quantities the
+    agent posts (`agent.DEFAULT_FIELD_MAP`), in field-position order."""
+    return store.create_channel("shower", list(DEFAULT_FIELD_MAP.values()))
 
 
 def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> Report:
@@ -85,7 +85,7 @@ def run_scenario(events, config: Optional[RunConfig] = None, seed: int = 0) -> R
         client = TelemetryClient(agent_cfg.server_url)
     else:
         store = TelemetryStore()
-        channel = _shower_channel(store, agent_cfg.field_map)
+        channel = _shower_channel(store)
         agent_cfg = replace(agent_cfg, write_key=channel.write_key)
         client = StoreClient(store)
     try:

@@ -5,6 +5,12 @@ starting a comment. Person events carry an action word first:
 `person enter distance=140`, `person move distance=6`, `person fall`,
 `person leave`. Every script finishes with a single `end` event. Times and
 numeric values must be finite numbers.
+
+The parser itself checks only this syntax and the order of times. Whether
+an event can happen is `apply_event`'s rule alone: the parser applies each
+event to a scratch environment, so a value out of range, an unknown gesture
+code or a person action the pose does not allow fails at parse time, on its
+line.
 """
 
 from __future__ import annotations
@@ -53,14 +59,6 @@ _PERSON_RULES = {
 }
 
 
-def _pose_after(pose: PersonPose, action: str) -> PersonPose:
-    """The pose a person action leaves; raises where the action cannot follow `pose`."""
-    allowed, refusal, after = _PERSON_RULES[action]
-    if pose not in allowed:
-        raise ScenarioValidationError(refusal)
-    return pose if after is None else after
-
-
 @dataclass(frozen=True)
 class ScenarioEvent:
     at: float
@@ -72,11 +70,13 @@ class ScenarioEvent:
 def parse_scenario(text: str) -> list:
     """Parse a script into time-ordered events; raises on the first bad line.
 
-    Each person action must be possible in the pose the script has reached,
-    as `apply_event` requires when the script runs.
+    Each event is checked by applying it to a scratch environment. A person
+    action the pose reached so far does not allow raises
+    ScenarioValidationError, and a value out of range or an unknown gesture
+    code raises ScenarioParseError, each naming the line.
     """
     events = []
-    pose = PersonPose.ABSENT
+    env = EnvironmentState()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,11 +105,12 @@ def parse_scenario(text: str) -> list:
                 f"line {line_no}: time goes backward "
                 f"({event.at:g} after {events[-1].at:g})"
             )
-        if kind == "person":
-            try:
-                pose = _pose_after(pose, action)
-            except ScenarioValidationError as exc:
-                raise ScenarioValidationError(f"line {line_no}: {exc}") from None
+        try:
+            apply_event(env, event)
+        except ScenarioValidationError as exc:
+            raise ScenarioValidationError(f"line {line_no}: {exc}") from None
+        except ValueError as exc:
+            raise ScenarioParseError(str(exc), line_no) from None
         events.append(event)
     _validate_shape(events)
     return events
@@ -150,20 +151,6 @@ def _build_event(at, kind, action, tokens, line_no) -> ScenarioEvent:
             raise ScenarioParseError("env event needs temp= and/or humidity=", line_no)
     elif missing:
         raise ScenarioParseError(f"missing parameter(s): {', '.join(sorted(missing))}", line_no)
-
-    lookup = dict(params)
-    if kind == "gesture":
-        try:
-            GestureCode.parse(lookup["code"])
-        except ValueError as exc:
-            raise ScenarioParseError(str(exc), line_no) from None
-    if kind == "sound" and not 0.0 <= lookup["intensity"] <= 1.0:
-        raise ScenarioParseError("intensity must lie in [0, 1]", line_no)
-    if "distance" in lookup and not 0.0 <= lookup["distance"] <= 600.0:
-        raise ScenarioParseError("distance must lie in [0, 600]", line_no)
-    if "humidity" in lookup and not 0.0 <= lookup["humidity"] <= 100.0:
-        raise ScenarioParseError("humidity must lie in [0, 100]", line_no)
-
     return ScenarioEvent(at, kind, action, tuple(params))
 
 
@@ -178,7 +165,12 @@ def _validate_shape(events: list) -> None:
 
 
 def apply_event(env: EnvironmentState, event: ScenarioEvent) -> None:
-    """Mutate the ground-truth environment according to one event."""
+    """Mutate the ground-truth environment according to one event.
+
+    Raises ScenarioValidationError for a person action the pose does not
+    allow, and ValueError for a value `EnvironmentState.validate` or
+    `GestureCode.parse` refuses.
+    """
     params = dict(event.params)
     if event.kind == "env":
         if "temp" in params:
@@ -190,13 +182,10 @@ def apply_event(env: EnvironmentState, event: ScenarioEvent) -> None:
     elif event.kind == "gesture":
         env.pending_gesture = GestureCode.parse(params["code"])
     elif event.kind == "person":
-        _apply_person(env, event.action, params)
+        allowed, refusal, after = _PERSON_RULES[event.action]
+        if env.person_pose not in allowed:
+            raise ScenarioValidationError(refusal)
+        env.person_pose = after or env.person_pose
+        if event.action != "fall":  # enter and move place the person; leave clears the distance
+            env.person_distance = params.get("distance")
     env.validate()
-
-
-def _apply_person(env: EnvironmentState, action: str, params: dict) -> None:
-    env.person_pose = _pose_after(env.person_pose, action)
-    if action in ("enter", "move"):
-        env.person_distance = params["distance"]
-    elif action == "leave":
-        env.person_distance = None

@@ -430,11 +430,19 @@ def _interrupt(signum, frame):
     raise KeyboardInterrupt
 
 
+def _port(text: str) -> int:
+    if not (text.isdecimal() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"must be a TCP port, 0 to 65535: {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
+    """Serve until SIGTERM or Ctrl-C; exit 2 with one stderr line when the
+    store cannot be opened or the port cannot be bound."""
     parser = argparse.ArgumentParser(
         prog="telemetry-serve", description="Serve the channel telemetry API over HTTP."
     )
-    parser.add_argument("--port", type=int, default=8266)
+    parser.add_argument("--port", type=_port, default=8266)
     parser.add_argument("--data-dir", required=True)
     parser.add_argument(
         "--sim-time",
@@ -443,8 +451,15 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    store = TelemetryStore(args.data_dir)
-    server = TelemetryHTTPServer(store, port=args.port, sim_time=args.sim_time)
+    store = None
+    try:
+        store = TelemetryStore(args.data_dir)
+        server = TelemetryHTTPServer(store, port=args.port, sim_time=args.sim_time)
+    except OSError as exc:  # a --data-dir that is a file or unreadable, a port in use
+        if store is not None:
+            store.close()
+        print(f"telemetry-serve: cannot start: {exc}", file=sys.stderr)
+        return 2
     # SIGTERM stops the server as Ctrl-C does, so the store closes and checkpoints.
     previous = signal.signal(signal.SIGTERM, _interrupt)
     try:

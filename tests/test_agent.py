@@ -11,6 +11,7 @@ from urllib.parse import urlencode
 import pytest
 
 from showersim.agent import (
+    DEFAULT_FIELD_MAP,
     AgentConfig,
     DeviceAgent,
     StoreClient,
@@ -555,21 +556,10 @@ class TestAgentConfig:
         with pytest.raises(ValueError):
             AgentConfig(tick_s=0)
 
-    def test_field_positions_bounded(self):
-        with pytest.raises(ValueError):
-            AgentConfig(field_map={9: "distance_cm"})
-
-    def test_quantities_unique(self):
-        with pytest.raises(ValueError):
-            AgentConfig(field_map={1: "distance_cm", 2: "distance_cm"})
-
-    def test_unknown_quantity_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            AgentConfig(field_map={1: "pressure_kpa"})
-
-    def test_remapped_fields_flow_through(self):
-        cfg = AgentConfig(field_map={7: "mode_code", 2: "distance_cm"})
-        client = RecordingClient()
-        agent = DeviceAgent(cfg, client=client)
-        assert agent.tick(env_standing(30), 0.0).entry_id == 1
-        assert client.posts == [({2: 30, 7: 2}, 0.0)]
+    def test_the_field_map_is_fixed(self):
+        cfg = AgentConfig()
+        assert cfg.field_map == DEFAULT_FIELD_MAP
+        with pytest.raises(TypeError):
+            cfg.field_map[6] = "pressure_kpa"
+        with pytest.raises(TypeError):
+            AgentConfig(field_map={1: "distance_cm"})

@@ -188,22 +188,6 @@ class TestRun:
         assert code == 0
         assert len(sim_server.store.read_feed(ch.channel_id, ch.read_key, 100)) == 21
 
-    def test_embedded_flag_overrides_config_server(self, tmp_path, capsys):
-        conf = tmp_path / "server.conf"
-        conf.write_text("server_url = http://127.0.0.1:1/\nwrite_key = ABCDEFGH12345678\n")
-        code = run_cli(
-            "run",
-            scenario_path("approach.scn"),
-            "--config",
-            conf,
-            "--embedded-server",
-            "--out",
-            tmp_path / "out",
-        )
-        assert code == 0
-        csv_lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
-        assert csv_lines[1].endswith(",1")  # posts landed on the embedded server
-
     def test_config_server_url_not_http_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "server.conf"
         conf.write_text("server_url = https://127.0.0.1:1/\nwrite_key = ABCDEFGH12345678\n")

@@ -64,7 +64,7 @@ class TestSelectWaterMode:
         assert select_water_mode(temp, DEFAULTS) is expected
 
     def test_fixed_preference_forces_normal(self):
-        profile = UserProfile("alice", "0420", 37.0, PreferenceMode.FIXED)
+        profile = UserProfile(37.0, PreferenceMode.FIXED)
         assert select_water_mode(5.0, DEFAULTS, profile) is WaterMode.NORMAL
 
     def test_partition_boundaries(self):
@@ -123,7 +123,7 @@ class TestStep:
         state, commands = step(ControllerState(), 16, 23, DEFAULTS)
         assert state.occupancy is Occupancy.OCCUPIED
         assert state.mode is WaterMode.COLD
-        assert state.leds == {"blue", "yellow"}
+        assert actuator_outputs(state) == {"blue", "yellow"}
         assert "mode cold" in commands
 
     def test_empty_room_stays_off(self):
@@ -133,9 +133,7 @@ class TestStep:
         assert commands == []
 
     def test_exit_turns_water_off(self):
-        occupied = ControllerState(
-            Occupancy.OCCUPIED, WaterMode.HOT, 45.0, 0.0, frozenset({"blue", "green"})
-        )
+        occupied = ControllerState(Occupancy.OCCUPIED, WaterMode.HOT, 45.0, 0.0)
         state, commands = step(occupied, 74, 21, DEFAULTS, now=30.0)
         assert state.occupancy is Occupancy.EMPTY
         assert state.mode is WaterMode.OFF
@@ -189,14 +187,15 @@ class TestStep:
             assert state.discharge_temp <= DEFAULTS.max_discharge_c
 
     def test_fixed_profile_discharge_clamped(self):
-        profile = UserProfile("bob", "1111", 60.0, PreferenceMode.FIXED)
+        profile = UserProfile(60.0, PreferenceMode.FIXED)
         state, _ = step(ControllerState(), 16, 23, DEFAULTS, profile)
         assert state.mode is WaterMode.NORMAL
         assert state.discharge_temp == 50.0
 
 
 def step_from_scratch(state, distance, temp_c, cfg, profile, now, water_locked):
-    """The rules of `step` applied from scratch: every field and every LED recomputed."""
+    """The rules of `step` applied from scratch: every field recomputed, and the
+    LED commands taken from `actuator_outputs` of the states before and after."""
     occupancy = classify_occupancy(distance, state.occupancy, cfg)
     occupied = occupancy is Occupancy.OCCUPIED
     since = None
@@ -210,18 +209,18 @@ def step_from_scratch(state, distance, temp_c, cfg, profile, now, water_locked):
         requested = profile.preferred_temp if fixed else NOMINAL_DISCHARGE_C[mode]
         discharge = clamp_discharge_temperature(requested, cfg)
     new = ControllerState(occupancy, mode, discharge, since)
-    new = ControllerState(occupancy, mode, discharge, since, actuator_outputs(new))
     commands = []
     if mode is not state.mode:
         commands.append("water off" if mode is WaterMode.OFF else f"mode {mode.value}")
+    before, after = actuator_outputs(state), actuator_outputs(new)
     for color in LED_COLORS:
-        if (color in new.leds) != (color in state.leds):
-            commands.append(f"led {color} {'on' if color in new.leds else 'off'}")
+        if (color in after) != (color in before):
+            commands.append(f"led {color} {'on' if color in after else 'off'}")
     return new, commands
 
 
 # A state step can reach, or one with a field the rules disagree with (a
-# stale LED set, entry time or setpoint): any state a caller may hand in.
+# stale entry time or setpoint): any state a caller may hand in.
 ANY_STATE = st.builds(
     lambda state, change: dataclasses.replace(state, **change),
     st.sampled_from(
@@ -234,8 +233,6 @@ ANY_STATE = st.builds(
     st.sampled_from(
         [
             {},
-            {"leds": frozenset()},
-            {"leds": frozenset({"blue", "red"})},
             {"occupied_since": None},
             {"occupied_since": 3.0},
             {"discharge_temp": 40.0},
@@ -262,8 +259,8 @@ class TestStepAgainstDefinition:
         profile=st.sampled_from(
             [
                 None,
-                UserProfile("bob", "1111", 60.0, PreferenceMode.FIXED),
-                UserProfile("al", "0420"),
+                UserProfile(60.0, PreferenceMode.FIXED),
+                UserProfile(),
             ]
         ),
     )
@@ -274,23 +271,20 @@ class TestStepAgainstDefinition:
             expected = step_from_scratch(state, distance, temp_c, cfg, profile, now, water_locked)
             new_state, commands = step(state, distance, temp_c, cfg, profile, now, water_locked)
             assert (new_state, commands) == expected
-            assert new_state.leds == actuator_outputs(new_state)
             if new_state == state:
                 assert new_state is state and commands == []
             state = new_state
 
 
 class TestWaterLock:
-    HOT = ControllerState(
-        Occupancy.OCCUPIED, WaterMode.HOT, 45.0, 3.0, frozenset({"blue", "green"})
-    )
+    HOT = ControllerState(Occupancy.OCCUPIED, WaterMode.HOT, 45.0, 3.0)
 
     def test_lock_shuts_water_off_and_keeps_the_episode(self):
         state, commands = step(self.HOT, 16, 21, DEFAULTS, now=10.0, water_locked=True)
         assert state.occupancy is Occupancy.OCCUPIED
         assert state.mode is WaterMode.OFF
         assert state.discharge_temp == 0.0
-        assert state.leds == {"blue"}
+        assert actuator_outputs(state) == {"blue"}
         assert state.occupied_since == 3.0
         assert commands == ["water off", "led green off"]
 
@@ -307,17 +301,9 @@ class TestWaterLock:
 
 
 class TestUserProfile:
-    def test_good_pin(self):
-        UserProfile("alice", "0042")
-
-    @pytest.mark.parametrize("pin", ["123", "12345", "12a4", ""])
-    def test_bad_pin_rejected(self, pin):
-        with pytest.raises(ValueError):
-            UserProfile("alice", pin)
-
     def test_fixed_requires_temperature(self):
         with pytest.raises(ValueError):
-            UserProfile("alice", "1234", preference_mode=PreferenceMode.FIXED)
+            UserProfile(preference_mode=PreferenceMode.FIXED)
 
 
 class TestControllerConfig:

@@ -13,7 +13,7 @@ from showersim import config as config_module
 from showersim import runner as runner_module
 from showersim.agent import AgentConfig, TickResult
 from showersim.config import ConfigError, RunConfig, default_run_config, load_config, parse_config
-from showersim.controller import ControllerConfig
+from showersim.controller import ControllerConfig, PreferenceMode, UserProfile
 from showersim.runner import (
     CSV_COLUMNS,
     EMPTY_LABEL,
@@ -431,8 +431,6 @@ class TestConfig:
             "min_range": ("sensor", number),
             "max_range": ("sensor", number),
             "noise_sigma": ("sensor", number),
-            "user_id": ("profile", str),
-            "pin": ("profile", str),
             "preferred_temp": ("profile", number),
             "preference_mode": ("profile", str),
         }
@@ -480,16 +478,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("activation_cm = 80\ndeactivation_cm = 60\n")
 
-    def test_profile_requires_identity(self):
-        with pytest.raises(ConfigError, match="user_id"):
-            parse_config("preferred_temp = 37\n")
-
     def test_full_profile(self):
-        config = parse_config(
-            "user_id = alice\npin = 0420\npreferred_temp = 37\npreference_mode = fixed\n"
-        )
-        assert config.profile is not None
-        assert config.profile.preferred_temp == 37.0
+        config = parse_config("preferred_temp = 37\npreference_mode = fixed\n")
+        assert config.profile == UserProfile(37.0, PreferenceMode.FIXED)
+
+    def test_either_profile_key_makes_a_profile(self):
+        assert parse_config("preferred_temp = 37\n").profile == UserProfile(37.0)
+        assert parse_config("preference_mode = auto\n").profile == UserProfile()
+        with pytest.raises(ConfigError, match="fixed preference requires preferred_temp"):
+            parse_config("preference_mode = fixed\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

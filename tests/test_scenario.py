@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from showersim.scenario import (
     ScenarioEvent,
@@ -174,3 +174,69 @@ class TestGeneratedScripts:
         events = parse_scenario(text)
         assert [e.at for e in events] == [float(line.split()[1]) for line in text.splitlines()]
         assert events[-1].kind == "end"
+
+
+@st.composite
+def prefix_and_last_line(draw):
+    """A well-formed script without its end, then one more event line whose
+    values lie on or just past the bounds the environment keeps."""
+    prefix = draw(scenario_events_text()).splitlines()[:-1]
+    at = float(prefix[-1].split()[1]) if prefix else 0.0
+    kind = draw(st.sampled_from(["env", "sound", "gesture", "person"]))
+    if kind == "env":
+        humidity = draw(st.sampled_from(["-0.5", "0", "100", "100.5"]))
+        return prefix, f"at {at:g} env temp=21 humidity={humidity}"
+    if kind == "sound":
+        intensity = draw(st.sampled_from(["-0.5", "0", "1", "1.5"]))
+        return prefix, f"at {at:g} sound intensity={intensity}"
+    if kind == "gesture":
+        code = draw(st.sampled_from(["wave", "left", "WAVE", "shake", "nod"]))
+        return prefix, f"at {at:g} gesture code={code}"
+    action = draw(st.sampled_from(["enter", "move", "fall", "leave"]))
+    if action in ("enter", "move"):
+        distance = draw(st.sampled_from(["-1", "0", "600", "600.5"]))
+        return prefix, f"at {at:g} person {action} distance={distance}"
+    return prefix, f"at {at:g} person {action}"
+
+
+def _event_of(line):
+    """The event a line states, built by hand: `at <t> <kind> [action] key=value...`."""
+    _, at, kind, *rest = line.split()
+    action = rest.pop(0) if kind == "person" else None
+    params = tuple(
+        (key, value if key == "code" else float(value))
+        for key, value in (token.split("=") for token in rest)
+    )
+    return ScenarioEvent(float(at), kind, action, params)
+
+
+class TestRuleBook:
+    """The parser refuses a line exactly when `apply_event` refuses its event."""
+
+    @settings(max_examples=300)
+    @given(case=prefix_and_last_line())
+    def test_parse_accepts_what_apply_accepts(self, case):
+        prefix, last = case
+        env = EnvironmentState()
+        for line in prefix:
+            apply_event(env, _event_of(line))
+        try:
+            apply_event(env, _event_of(last))
+            refusal = None
+        except (ScenarioValidationError, ValueError) as exc:
+            refusal = exc
+
+        line_no = len(prefix) + 1
+        at = float(last.split()[1])
+        text = "\n".join([*prefix, last, f"at {at + 1:g} end"]) + "\n"
+        if refusal is None:
+            assert len(parse_scenario(text)) == line_no + 1
+        elif isinstance(refusal, ScenarioValidationError):
+            with pytest.raises(ScenarioValidationError) as info:
+                parse_scenario(text)
+            assert str(info.value) == f"line {line_no}: {refusal}"
+        else:
+            with pytest.raises(ScenarioParseError) as info:
+                parse_scenario(text)
+            assert info.value.line_no == line_no
+            assert str(info.value) == f"line {line_no}: {refusal}"

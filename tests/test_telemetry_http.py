@@ -1265,6 +1265,44 @@ def test_sigterm_closes_the_store_so_a_restart_loads_its_checkpoint(tmp_path, mo
         reopened.close()
 
 
+class TestStartFailures:
+    """A telemetry-serve that cannot start says why in one stderr line and
+    exits 2; stdout, whose first line is read for `listening on`, stays empty."""
+
+    @staticmethod
+    def serve(*args):
+        cmd = [sys.executable, "-m", "showersim.telemetry.server", *args]
+        return subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+
+    @staticmethod
+    def assert_refused(result, first_line):
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1].startswith(first_line)
+
+    def test_a_port_in_use(self, tmp_path):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            result = self.serve("--port", str(port), "--data-dir", str(tmp_path / "data"))
+        self.assert_refused(result, "telemetry-serve: cannot start: [Errno")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_a_data_dir_that_is_a_file(self, tmp_path):
+        data = tmp_path / "data"
+        data.write_text("not a directory")
+        result = self.serve("--port", "0", "--data-dir", str(data))
+        self.assert_refused(result, "telemetry-serve: cannot start: [Errno")
+        assert len(result.stderr.splitlines()) == 1
+        assert data.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("port", ["70000", "-1", "eighty"])
+    def test_a_port_out_of_range_is_refused_before_the_store_opens(self, tmp_path, port):
+        result = self.serve("--port", port, "--data-dir", str(tmp_path / "data"))
+        self.assert_refused(result, "telemetry-serve: error: argument --port: must be a TCP port")
+        assert not (tmp_path / "data").exists()
+
 def test_the_server_loads_no_stdlib_http_server_email_ssl_or_hashlib():
     # http.server loads http.client, email and ssl; secrets loads hashlib and
     # OpenSSL; dataclasses loads inspect, ast, dis and tokenize, as does logging
