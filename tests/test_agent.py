@@ -19,7 +19,7 @@ from showersim.agent import (
     render_status,
 )
 from showersim.telemetry.server import TelemetryRequestHandler
-from showersim.telemetry.store import TelemetryError, TelemetryStore
+from showersim.telemetry.store import MAX_FIELDS, TelemetryError, TelemetryStore
 from showersim.controller import Occupancy, WaterMode
 from showersim.safety import AlertKind, SafetyConfig
 from showersim.sensors import EnvironmentState, PersonPose
@@ -555,6 +555,20 @@ class TestAgentConfig:
     def test_tick_positive(self):
         with pytest.raises(ValueError):
             AgentConfig(tick_s=0)
+
+    def test_field_positions_bounded(self):
+        assert all(1 <= pos <= MAX_FIELDS for pos in AgentConfig().field_map)
+
+    def test_quantities_unique(self):
+        quantities = list(AgentConfig().field_map.values())
+        assert len(set(quantities)) == len(quantities)
+
+    def test_fields_flow_through(self):
+        client = RecordingClient()
+        agent = DeviceAgent(AgentConfig(), client=client)
+        assert agent.tick(env_standing(30), 0.0).entry_id == 1
+        assert client.posts == [({1: 30, 2: 23, 3: 15, 4: 2, 5: 0}, 0.0)]
+        assert list(client.posts[0][0]) == sorted(DEFAULT_FIELD_MAP)
 
     def test_the_field_map_is_fixed(self):
         cfg = AgentConfig()

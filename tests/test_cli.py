@@ -188,6 +188,14 @@ class TestRun:
         assert code == 0
         assert len(sim_server.store.read_feed(ch.channel_id, ch.read_key, 100)) == 21
 
+    def test_embedded_server_flag_is_refused(self, tmp_path, capsys):
+        # An empty server_url already means the embedded server: the flag is gone.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", scenario_path("approach.scn"), "--embedded-server", "--out", tmp_path)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --embedded-server" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_config_server_url_not_http_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "server.conf"
         conf.write_text("server_url = https://127.0.0.1:1/\nwrite_key = ABCDEFGH12345678\n")
