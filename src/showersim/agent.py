@@ -12,7 +12,6 @@ frame reads `unreachable`, so the post stays queued.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 import socket
@@ -47,8 +46,6 @@ from .sensors import (
 )
 from .telemetry.store import TelemetryError, TelemetryStore
 from .telemetry.wire import MAX_LINE_BYTES, body_length, read_headers
-
-logger = logging.getLogger(__name__)
 
 MODE_CODES = {WaterMode.OFF: 0, WaterMode.HOT: 1, WaterMode.COLD: 2, WaterMode.NORMAL: 3}
 ALERT_CODES = {
@@ -318,7 +315,6 @@ class DeviceAgent:
         self.posts_dropped = 0
         self.posts_refused = 0
         self.last_status = "no transport"
-        self._humidity_flag = False
 
     def tick(self, env: EnvironmentState, now: float) -> TickResult:
         rng = self.rng
@@ -347,15 +343,6 @@ class DeviceAgent:
             new_state, _ = step(self.state, *control, water_locked=True)
         self.state = new_state
 
-        humidity_flag = humidity > self.controller_cfg.humidity_threshold_pct
-        if humidity_flag != self._humidity_flag:
-            logger.info(
-                "humidity %d%% %s threshold %g%%",
-                humidity,
-                "above" if humidity_flag else "back below",
-                self.controller_cfg.humidity_threshold_pct,
-            )
-            self._humidity_flag = humidity_flag
         distance = round_half_up(ranges[0])
         quantities = {
             "distance_cm": distance,

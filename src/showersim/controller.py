@@ -55,7 +55,6 @@ class ControllerConfig:
     deactivation_cm: float = 60.0
     t_hot_c: float = 22.0
     t_cold_c: float = 23.0
-    humidity_threshold_pct: float = 10.0  # recorded only; no control action
     max_discharge_c: float = 50.0
 
     def __post_init__(self) -> None:

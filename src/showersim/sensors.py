@@ -86,7 +86,6 @@ class EnvironmentState:
 
 @dataclass(frozen=True)
 class UltrasonicConfig:
-    sensor_id: str
     mount_height: float  # cm above the floor
     min_range: float = 20.0
     max_range: float = 600.0
@@ -102,9 +101,9 @@ class UltrasonicConfig:
 def default_ultrasonic_array() -> tuple[UltrasonicConfig, UltrasonicConfig, UltrasonicConfig]:
     """Three rangers on the shower-head pole: head, torso and floor coverage."""
     return (
-        UltrasonicConfig("us-1", mount_height=150.0),
-        UltrasonicConfig("us-2", mount_height=90.0),
-        UltrasonicConfig("us-3", mount_height=30.0),
+        UltrasonicConfig(mount_height=150.0),
+        UltrasonicConfig(mount_height=90.0),
+        UltrasonicConfig(mount_height=30.0),
     )
 
 

@@ -95,18 +95,13 @@ class TestOfflineTicks:
             agent.tick(env_absent(), float(k))
         assert agent.posts_attempted == 10
 
-    def test_humidity_flag_informational_only(self, caplog):
+    def test_humidity_is_reported_and_takes_no_control_action(self):
         agent = make_agent()
-        with caplog.at_level("INFO", logger="showersim.agent"):
-            dry = agent.tick(env_absent(humidity=5.0), 0.0)
-            humid = agent.tick(env_absent(humidity=40.0), 1.0)
-            agent.tick(env_absent(humidity=5.0), 2.0)
-        assert dry.mode is humid.mode  # no control action either way
-        # logged on each crossing only; the first, dry tick crosses nothing
-        assert [r.getMessage() for r in caplog.records if r.name == "showersim.agent"] == [
-            "humidity 40% above threshold 10%",
-            "humidity 5% back below threshold 10%",
-        ]
+        dry = agent.tick(env_standing(30.0, humidity=5.0), 0.0)
+        humid = agent.tick(env_standing(30.0, humidity=95.0), 1.0)
+        assert (dry.humidity_pct, humid.humidity_pct) == (5, 95)
+        assert dry.mode is humid.mode is not WaterMode.OFF  # no control action either way
+        assert not [name for name in vars(agent) if "humid" in name]  # and no state kept
 
     def test_queue_bound_drop_oldest(self):
         client = TelemetryClient("http://127.0.0.1:9/")  # closed port

@@ -411,7 +411,6 @@ class TestConfig:
             "deactivation_cm": ("controller", number),
             "t_hot_c": ("controller", number),
             "t_cold_c": ("controller", number),
-            "humidity_threshold_pct": ("controller", number),
             "max_discharge_c": ("controller", number),
             "occupancy_alert_s": ("safety", number),
             "prolonged_hot_s": ("safety", number),

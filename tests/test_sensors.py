@@ -31,15 +31,15 @@ def standing(distance: float, **kwargs) -> EnvironmentState:
 
 class TestUltrasonic:
     def test_standing_passthrough(self):
-        cfg = UltrasonicConfig("us-1", mount_height=150.0)
+        cfg = UltrasonicConfig(mount_height=150.0)
         assert ultrasonic_measure(standing(100.0), cfg) == 100.0
 
     def test_absent_reads_max_range(self):
-        cfg = UltrasonicConfig("us-1", mount_height=150.0)
+        cfg = UltrasonicConfig(mount_height=150.0)
         assert ultrasonic_measure(env(), cfg) == 600.0
 
     def test_close_obstacle_clamps_to_min_range(self):
-        cfg = UltrasonicConfig("us-1", mount_height=150.0)
+        cfg = UltrasonicConfig(mount_height=150.0)
         assert ultrasonic_measure(standing(10.0), cfg) == 20.0
 
     def test_fallen_person_only_blocks_floor_sensor(self):
@@ -61,7 +61,7 @@ class TestUltrasonic:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_readings_stay_inside_the_sensor_window(self, distance, pose, height, sigma, seed):
-        cfg = UltrasonicConfig("us-x", mount_height=height, noise_sigma=sigma)
+        cfg = UltrasonicConfig(mount_height=height, noise_sigma=sigma)
         if pose is PersonPose.ABSENT:
             state = env()
         else:
@@ -70,12 +70,12 @@ class TestUltrasonic:
         assert cfg.min_range <= distance <= cfg.max_range
 
     def test_noiseless_measure_is_pure(self):
-        cfg = UltrasonicConfig("us-1", mount_height=150.0)
+        cfg = UltrasonicConfig(mount_height=150.0)
         state = standing(123.4)
         assert ultrasonic_measure(state, cfg) == ultrasonic_measure(state, cfg)
 
     def test_fixed_seed_reading_sequence_is_identical(self):
-        cfg = UltrasonicConfig("us-1", mount_height=150.0, noise_sigma=2.5)
+        cfg = UltrasonicConfig(mount_height=150.0, noise_sigma=2.5)
         distances = [40.0, 80.0, 120.0, 30.0, 500.0]
 
         def run(seed):
@@ -86,15 +86,15 @@ class TestUltrasonic:
         assert run(7) != run(8)  # the seed actually matters
 
     def test_noise_requires_rng(self):
-        cfg = UltrasonicConfig("us-1", mount_height=150.0, noise_sigma=1.0)
+        cfg = UltrasonicConfig(mount_height=150.0, noise_sigma=1.0)
         with pytest.raises(ValueError):
             ultrasonic_measure(standing(100.0), cfg)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            UltrasonicConfig("us-1", mount_height=150.0, min_range=600.0, max_range=20.0)
+            UltrasonicConfig(mount_height=150.0, min_range=600.0, max_range=20.0)
         with pytest.raises(ValueError):
-            UltrasonicConfig("us-1", mount_height=150.0, noise_sigma=-1.0)
+            UltrasonicConfig(mount_height=150.0, noise_sigma=-1.0)
 
 
 class TestDht:
