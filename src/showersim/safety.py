@@ -54,6 +54,9 @@ class Alert:
     evidence: str
 
 
+MAX_THUD_WINDOW_SAMPLES = 100_000
+
+
 @dataclass(frozen=True)
 class SafetyConfig:
     occupancy_alert_s: float = 1800.0
@@ -73,6 +76,11 @@ class SafetyConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # The engine allocates the whole sound window up front, so an unbounded
+        # one asks for gigabytes before the first tick; 100,000 samples is
+        # over a day of 1 s ticks.
+        if self.thud_window_samples > MAX_THUD_WINDOW_SAMPLES:
+            raise ValueError(f"thud_window_samples must be at most {MAX_THUD_WINDOW_SAMPLES:,}")
         # detect_thud needs a quiet sample before the loud ones, so a window
         # holds at most thud_window_samples - 1 of them after it.
         if self.thud_min_ones >= self.thud_window_samples:

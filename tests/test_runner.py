@@ -473,6 +473,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"line 1: bad value for {key}: not a finite number"):
             parse_config(line + "\n")
 
+    def test_a_thud_window_over_the_cap_is_refused(self):
+        # SafetyEngine allocates the window up front: 10**12 samples would be 8 TB.
+        assert parse_config("thud_window_samples = 100000\n").safety.thud_window_samples == 100_000
+        with pytest.raises(ConfigError, match="thud_window_samples must be at most 100,000"):
+            parse_config("thud_window_samples = 1000000000000")
+
     def test_invariant_violations_surface(self):
         with pytest.raises(ConfigError):
             parse_config("activation_cm = 80\ndeactivation_cm = 60\n")
