@@ -591,10 +591,10 @@ class TelemetryStore:
         produce out-of-order timestamps. A field position that is not an int
         inside the schema (a bool is refused), a value that is not an int of
         at most 4,300 digits, a finite float or a str (the types the HTTP API
-        parses), or a NaN or infinite created_at raises ValidationError, a
-        write after close() raises StoreClosedError, and an append the log
-        file refuses raises StorageError; none stores anything, so every
-        acknowledged entry replays as written.
+        parses), or a created_at that is not a finite number raises
+        ValidationError, a write after close() raises StoreClosedError, and an
+        append the log file refuses raises StorageError; none stores anything,
+        so every acknowledged entry replays as written.
         """
         channel = self._by_write_key.get(write_key)
         if channel is None:
@@ -609,7 +609,10 @@ class TelemetryStore:
         if pos is not None:
             raise ValidationError(f"field{pos} must be an int, a finite float or text")
         if created_at is not None:
-            created_at = float(created_at)
+            try:
+                created_at = float(created_at)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError("created_at must be a number") from None
             if not math.isfinite(created_at):
                 raise ValidationError("created_at must be finite")
         row = channel.row_of(values)

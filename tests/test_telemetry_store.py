@@ -141,12 +141,22 @@ class TestWriteUpdate:
         with pytest.raises(ValidationError):
             store.write_update(ch.write_key, {4: 1}, 0.0)
 
-    @pytest.mark.parametrize("created_at", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_created_at_rejected(self, store, created_at):
-        ch = make_channel(store)
-        with pytest.raises(ValidationError):
-            store.write_update(ch.write_key, {1: 1}, created_at)
-        assert store.read_feed(ch.channel_id, ch.read_key, 10) == []
+    @pytest.mark.parametrize("backed", [True, False], ids=["file", "memory"])
+    @pytest.mark.parametrize(
+        "created_at",
+        [float("nan"), float("inf"), float("-inf"), 10**400, "x", "", [0.0]],
+        ids=["nan", "inf", "-inf", "overflow", "text", "empty", "list"],
+    )
+    def test_non_finite_created_at_rejected(self, tmp_path, backed, created_at):
+        # float() refuses the last four: each is a ValidationError (400) all the same
+        store = TelemetryStore(tmp_path / "data" if backed else None)
+        try:
+            ch = make_channel(store)
+            with pytest.raises(ValidationError, match="created_at must be"):
+                store.write_update(ch.write_key, {1: 1}, created_at)
+            assert store.read_feed(ch.channel_id, ch.read_key, 10) == []
+        finally:
+            store.close()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, store, value):
