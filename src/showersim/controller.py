@@ -1,9 +1,10 @@
 """Shower control state machine.
 
 Occupancy classification from the proximity reading, water-mode selection
-from the outdoor temperature and a hard scald ceiling on discharge
-temperature. The LED outputs that stand in for the nozzle actuators are not
-state: `actuator_outputs` derives them from the occupancy and the mode.
+from the temperature the DHT sensor reads in the shower space, and a hard
+scald ceiling on discharge temperature. The LED outputs that stand in for
+the nozzle actuators are not state: `actuator_outputs` derives them from the
+occupancy and the mode.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def classify_occupancy(distance: float, prev: Occupancy, cfg: ControllerConfig) 
 def select_water_mode(
     temp_c: float, cfg: ControllerConfig, profile: Optional[UserProfile] = None
 ) -> WaterMode:
-    """Pick the discharge mode opposite to the outdoor temperature."""
+    """Pick the discharge mode opposite to the shower-space temperature:
+    hot water in a cold room, cold water in a warm one."""
     if profile is not None and profile.preference_mode is FIXED:
         return NORMAL
     if temp_c < cfg.t_hot_c:

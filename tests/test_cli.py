@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from showersim import agent as agent_module
 from showersim.cli import main
 
 from conftest import scenario_path
@@ -195,6 +196,35 @@ class TestRun:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --embedded-server" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_humidity_threshold_key_is_refused(self, tmp_path, capsys):
+        # Humidity takes no control action and the log line it drove is gone.
+        conf = tmp_path / "humidity.conf"
+        conf.write_text("humidity_threshold_pct = 10\n")
+        code = run_cli(
+            "run", scenario_path("approach.scn"), "--config", conf, "--out", tmp_path / "out"
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {conf} line 1: unknown config key 'humidity_threshold_pct'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_a_thud_window_over_the_cap_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a safety engine was built")
+
+        monkeypatch.setattr(agent_module, "SafetyEngine", no_engine)
+        conf = tmp_path / "window.conf"
+        conf.write_text("thud_window_samples = 1000000000000\n")
+        code = run_cli(
+            "run", scenario_path("approach.scn"), "--config", conf, "--out", tmp_path / "out"
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {conf}: thud_window_samples must be at most 100,000\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_config_server_url_not_http_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "server.conf"

@@ -1312,9 +1312,9 @@ def test_the_server_loads_no_stdlib_http_server_email_ssl_or_hashlib():
     agent_absent = ("socketserver", "showersim.telemetry.server", "http.client", "argparse")
     for module, absent in [
         ("showersim.telemetry.server", unwanted),
-        ("showersim.cli", ("hashlib",)),
+        ("showersim.cli", ("hashlib", "logging")),
         ("showersim.telemetry.store", ("pickle", "hashlib", "logging")),
-        ("showersim.agent", agent_absent),
+        ("showersim.agent", agent_absent + ("logging",)),
     ]:
         code = f"import {module}, sys; print([m for m in {absent!r} if m in sys.modules])"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
