@@ -76,9 +76,9 @@ class SafetyConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        # The engine allocates the whole sound window up front, so an unbounded
-        # one asks for gigabytes before the first tick; 100,000 samples is
-        # over a day of 1 s ticks.
+        # The engine allocates an index per sample of the window up front, so an
+        # unbounded one asks for gigabytes before the first tick; 100,000
+        # samples is over a day of 1 s ticks.
         if self.thud_window_samples > MAX_THUD_WINDOW_SAMPLES:
             raise ValueError(f"thud_window_samples must be at most {MAX_THUD_WINDOW_SAMPLES:,}")
         # detect_thud needs a quiet sample before the loud ones, so a window
@@ -150,9 +150,11 @@ class SafetyEngine:
 
     def __init__(self, cfg: SafetyConfig):
         self.cfg = cfg
-        self._sound_window = deque(
-            [0] * cfg.thud_window_samples, maxlen=cfg.thud_window_samples
-        )
+        # The sound window as the count of its loud samples and the sample
+        # index of each quiet one, oldest first, so that a tick costs O(1). It
+        # starts quiet: samples -N..-1 come before the first tick's sample 0.
+        self._loud = 0
+        self._quiet = deque(range(-cfg.thud_window_samples, 0))
         self._geometry_streak = 0
         self._last_thud_tick: Optional[int] = None
         self._tick = -1
@@ -196,11 +198,21 @@ class SafetyEngine:
         elif self._hot_since is None:
             self._hot_since = now
 
-        window = self._sound_window
-        window.append(1 if sound_bit else 0)
-        # an all-quiet window holds no thud, so only a loud sample calls the detector
-        if 1 in window and detect_thud(window, self.cfg):
-            self._last_thud_tick = self._tick
+        tick = self._tick
+        samples = self.cfg.thud_window_samples
+        quiet = self._quiet
+        if quiet and quiet[0] == tick - samples:  # the oldest sample leaves the window
+            quiet.popleft()
+        else:
+            self._loud -= 1
+        if sound_bit:
+            self._loud += 1
+        else:
+            quiet.append(tick)
+        # detect_thud: the window's loud samples after its first quiet one,
+        # which follows quiet[0] - (tick - samples + 1) loud ones
+        if quiet and self._loud - quiet[0] + tick - samples + 1 >= self.cfg.thud_min_ones:
+            self._last_thud_tick = tick
 
         us1, us2, us3 = sensor_occupancy
         if detect_fall_geometry(us1, us2, us3):

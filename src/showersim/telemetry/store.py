@@ -28,15 +28,21 @@ the cut itself fail, the store closes, so no acknowledged write can follow
 a torn record.
 
 close() writes a checkpoint of each channel's columns beside its non-empty
-log (channel-N.checkpoint, JSON lines written a chunk of entries at a time
-to a temporary file and renamed into place). Its header names the channel,
-its keys and width, and the log bytes it covers with their CRC-32; its
-trailer gives the entry count and the CRC-32 of its chunk lines. Only
-acknowledged records are covered: a memory-only store, a second close()
+log (channel-N.checkpoint, written a chunk of entries at a time to a
+temporary file and renamed into place; opening the store removes a
+temporary file a crash left). Its header names the format, the byte order,
+the channel, its keys and width, and the log bytes it covers with their
+CRC-32; its trailer gives the entry count and the CRC-32 of the chunks. Both
+are JSON lines. A chunk is a JSON head line followed by its created_at as
+float64 words, then its values: as words of the narrowest array typecode of
+b, h, i and q that holds them all when every value is an int, so loading a
+channel of ints parses no number from text, and as a JSON list otherwise.
+Only acknowledged records are covered: a memory-only store, a second close()
 and a store that closed itself after a failed cut write none. Recovery
 loads a channel's checkpoint when every check holds and replays only the
-log after the bytes it covers; otherwise it warns, removes the checkpoint
-and replays the whole log, as it does a log that a crash left without one.
+log after the bytes it covers; otherwise (another format or byte order
+among them) it warns, removes the checkpoint and replays the whole log, as
+it does a log that a crash left without one.
 
 Recovery reads each log a line at a time and scans the line with the C JSON
 scanner, appending to the columns as it goes; the whole text is never held.
@@ -83,8 +89,11 @@ MAX_FIELDS = 8
 VISIBILITIES = ("private", "shared")
 
 _META_FILE = "channels.jsonl"
-_CHECKPOINT_VERSION = 1
-_CHECKPOINT_ENTRIES = 256  # entries per chunk line: neither side holds the whole checkpoint
+_CHECKPOINT_VERSION = 2
+_CHECKPOINT_ENTRIES = 256  # entries per chunk: neither side holds the whole checkpoint
+_LINE_BYTES = 256  # over the longest chunk head or trailer line a checkpoint holds
+# Typecode -> the bound its words hold ints below (and at or above its negative).
+_WORD_BOUNDS = {code: 1 << 8 * array(code).itemsize - 1 for code in "bhiq"}
 _BLOCK_BYTES = 1 << 16  # bytes read at a time to take a log's CRC-32
 _checkpoint_json = json.JSONEncoder(separators=(",", ":")).encode
 _POSITIONS = range(1, MAX_FIELDS + 1)
@@ -365,28 +374,50 @@ def _owner(channel: "Channel") -> dict:
     }
 
 
+def _temp(path: Path) -> Path:
+    """Where the checkpoint `path` is written before it is renamed into place."""
+    return path.with_name(path.name + ".tmp")
+
+
+def _int_words(values: list) -> Optional[array]:
+    """`values` as an array of the narrowest typecode in _WORD_BOUNDS that
+    holds them all, or None unless each is an int of at most 64 bits."""
+    try:
+        words = array("q", values)
+    except (TypeError, OverflowError):  # None, a float, text or a wider int
+        return None
+    low, high = min(words), max(words)
+    code = next(code for code, bound in _WORD_BOUNDS.items() if -bound <= low and high < bound)
+    return array(code, words)
+
+
 def _write_checkpoint(path: Path, channel: "Channel", log: Path) -> None:
     """Write `channel`'s columns to `path` as a checkpoint of `log`, which
-    holds exactly their records, a chunk line of _CHECKPOINT_ENTRIES entries
-    at a time. A write that fails leaves none. The caller holds the lock."""
-    temp = path.with_name(path.name + ".tmp")
+    holds exactly their records, a chunk of _CHECKPOINT_ENTRIES entries at a
+    time. A write that fails leaves none. The caller holds the lock."""
+    temp = _temp(path)
     created_at, values, width = channel.created_at, channel.values, channel.width
     try:
         size, log_crc = _log_crc(log, sys.maxsize)
-        header = {"checkpoint": _CHECKPOINT_VERSION, **_owner(channel), "log_bytes": size}
-        header["log_crc32"] = log_crc
+        header = {"checkpoint": _CHECKPOINT_VERSION, "byteorder": sys.byteorder}
+        header.update(_owner(channel), log_bytes=size, log_crc32=log_crc)
         crc = 0
         with temp.open("wb") as fh:
             fh.write(_checkpoint_json(header).encode("ascii") + b"\n")
             for start in range(0, len(created_at), _CHECKPOINT_ENTRIES):
                 stop = start + _CHECKPOINT_ENTRIES
-                chunk = {
-                    "created_at": created_at[start:stop].tolist(),
-                    "values": values[start * width : stop * width],  # None gives null
-                }
-                line = _checkpoint_json(chunk).encode("ascii") + b"\n"
-                crc = zlib.crc32(line, crc)
-                fh.write(line)
+                stamps = created_at[start:stop]
+                row = values[start * width : stop * width]
+                words = _int_words(row)
+                if words is None:
+                    block = _checkpoint_json(row).encode("ascii")  # None gives null
+                    head = {"chunk": len(stamps), "values": "json", "bytes": len(block)}
+                else:
+                    block = words.tobytes()
+                    head = {"chunk": len(stamps), "values": words.typecode}
+                chunk = _checkpoint_json(head).encode("ascii") + b"\n" + stamps.tobytes() + block
+                crc = zlib.crc32(chunk, crc)
+                fh.write(chunk)
             trailer = {"entries": len(created_at), "chunks_crc32": crc}
             fh.write(_checkpoint_json(trailer).encode("ascii") + b"\n")
         os.replace(temp, path)
@@ -396,37 +427,68 @@ def _write_checkpoint(path: Path, channel: "Channel", log: Path) -> None:
         _remove(temp)  # gone already once renamed
 
 
+def _line(fh, limit: int) -> bytes:
+    """The next line of `fh`, b"" at its end; one of more than `limit` bytes raises."""
+    line = fh.readline(limit)
+    if line and not line.endswith(b"\n"):
+        raise ValueError(f"a line is cut or longer than {limit} bytes")
+    return line
+
+
 def _load_checkpoint(fh, channel: "Channel", log: Path) -> int:
     """Load `channel`'s columns and last_values from the checkpoint open as
-    `fh`, a chunk line at a time; the log bytes it covers. A checkpoint of
-    another format or channel, one whose log does not start with the bytes
-    it covers, or one whose trailer is missing or does not match its chunks
-    raises, leaving the channel as it was."""
-    header = json.loads(fh.readline())
-    if type(header) is not dict or header.get("checkpoint") != _CHECKPOINT_VERSION:
-        raise ValueError("not a checkpoint of this format")
+    `fh`, a chunk at a time; the log bytes it covers. A checkpoint of another
+    format, byte order or channel, one whose log does not start with the
+    bytes it covers, or one whose trailer is missing or does not match its
+    chunks raises, leaving the channel as it was."""
     owner = _owner(channel)
+    header = json.loads(_line(fh, len(_checkpoint_json(owner)) + _LINE_BYTES))
+    if (
+        type(header) is not dict
+        or header.get("checkpoint") != _CHECKPOINT_VERSION
+        or header.get("byteorder") != sys.byteorder
+    ):
+        raise ValueError("not a checkpoint of this format")
     if {key: header.get(key) for key in owner} != owner:
         raise ValueError("written for another channel")
     covered, log_crc = header["log_bytes"], header["log_crc32"]
     if type(covered) is not int or covered < 1 or _log_crc(log, covered) != (covered, log_crc):
         raise ValueError(f"the log does not start with the {covered} bytes it covers")
     width = channel.width
+    file_bytes = os.fstat(fh.fileno()).st_size  # no chunk may ask to read more
     created_at, values = array("d"), []
     crc, trailer = 0, None
-    for line in fh:
-        if trailer is not None:
-            raise ValueError("a line follows the trailer")
-        record = json.loads(line)
-        if "entries" in record:
-            trailer = record
-            continue
-        crc = zlib.crc32(line, crc)
-        created, chunk = record["created_at"], record["values"]
-        if type(chunk) is not list or len(chunk) != len(created) * width:
-            raise ValueError("a chunk's columns differ in length")
-        created_at.extend(created)
-        values.extend(chunk)
+    while line := _line(fh, _LINE_BYTES):
+        head = json.loads(line)
+        if "entries" in head:
+            if fh.read(1):
+                raise ValueError("bytes follow the trailer")
+            trailer = head
+            break
+        entries, kind = head["chunk"], head["values"]
+        if type(entries) is not int or not 1 <= entries <= _CHECKPOINT_ENTRIES:
+            raise ValueError(f"a chunk of {entries!r} entries")
+        if kind == "json":
+            size = head["bytes"]
+            if type(size) is not int or not 1 <= size <= file_bytes:
+                raise ValueError(f"a chunk of {size!r} bytes")
+        elif kind in _WORD_BOUNDS:
+            size = entries * width * array(kind).itemsize
+        else:  # a typecode such as d or u would load floats or text as values
+            raise ValueError(f"a chunk's values are {kind!r}, not json or words of bhiq")
+        stamps = entries * created_at.itemsize
+        body = fh.read(stamps + size)
+        if len(body) < stamps + size:
+            break  # the file ends inside a chunk, so before its trailer
+        crc = zlib.crc32(body, zlib.crc32(line, crc))
+        created_at.frombytes(body[:stamps])
+        if kind == "json":
+            chunk = json.loads(body[stamps:])
+            if type(chunk) is not list or len(chunk) != entries * width:
+                raise ValueError("a chunk's columns differ in length")
+            values += chunk
+        else:
+            values += array(kind, body[stamps:]).tolist()
     if trailer != {"entries": len(created_at), "chunks_crc32": crc}:
         raise ValueError("its trailer is missing or does not match its chunks")
     channel.created_at, channel.values = created_at, values
@@ -517,8 +579,11 @@ class TelemetryStore:
     def _from_checkpoint(self, channel: Channel, log: Path) -> int:
         """Load the channel from its checkpoint, if it has one that passes
         every check; the log bytes loaded that way. A checkpoint that fails
-        one is removed with a warning, and the whole log replays."""
+        one is removed with a warning, and the whole log replays. A
+        temporary file left by a crash while the checkpoint was written is
+        removed."""
         path = self._checkpoint_path(channel.channel_id)
+        _remove(_temp(path))
         try:
             fh = path.open("rb")
         except FileNotFoundError:

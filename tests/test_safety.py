@@ -357,6 +357,31 @@ class TestFusion:
         assert drive() == drive()
 
 
+class TestThudWindowAgainstDetectThud:
+    """The engine keeps its sound window as counts; at every tick its thud
+    is the one detect_thud finds in the whole window."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        thud=st.integers(min_value=2, max_value=40).flatmap(
+            lambda samples: st.tuples(st.just(samples), st.integers(1, samples - 1))
+        ),
+        # runs of one bit, so windows fill with loud samples and empty again
+        runs=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 50)), max_size=30),
+    )
+    @example(thud=(10, 3), runs=[(1, 12), (0, 1), (1, 3)])
+    def test_each_tick_thuds_as_detect_thud_on_its_window(self, thud, runs):
+        window_samples, min_ones = thud
+        cfg = SafetyConfig(thud_window_samples=window_samples, thud_min_ones=min_ones)
+        engine = SafetyEngine(cfg)
+        window = [0] * window_samples
+        bits = [bit for bit, length in runs for _ in range(length)]
+        for tick, bit in enumerate(bits):
+            window = window[1:] + [bit]
+            engine.fuse_tick((OCC, OCC, OCC), bit, None, empty_state(), float(tick))
+            assert (engine._last_thud_tick == tick) == detect_thud(window, cfg), tick
+
+
 class TestFallTimingAgainstThudOracle:
     @settings(max_examples=300, deadline=None)
     @given(

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import unittest
+import zlib
 from pathlib import Path
 
 import pytest
@@ -1058,19 +1059,18 @@ def cut_the_log(data) -> dict:
 
 def change_a_chunk_digit(data) -> dict:
     checkpoint = data / "channel-1.checkpoint"
-    lines = checkpoint.read_bytes().split(b"\n")
-    at = lines[2].index(b'"values":[') + len(b'"values":[')  # the second chunk's first value
-    digit = lines[2][at : at + 1]
+    raw = checkpoint.read_bytes()
+    at = raw.index(b"[356,") + 1  # the second chunk's first value: entry 257's field 1
+    digit = raw[at : at + 1]
     assert digit.isdigit()
-    lines[2] = lines[2][:at] + str((int(digit) + 1) % 10).encode() + lines[2][at + 1 :]
-    checkpoint.write_bytes(b"\n".join(lines))
+    checkpoint.write_bytes(raw[:at] + str((int(digit) + 1) % 10).encode() + raw[at + 1 :])
     return {}
 
 
 def remove_the_trailer(data) -> dict:
     checkpoint = data / "channel-1.checkpoint"
     raw = checkpoint.read_bytes()
-    checkpoint.write_bytes(raw[: raw.rstrip(b"\n").rindex(b"\n") + 1])
+    checkpoint.write_bytes(raw[: raw.rindex(b'{"entries":')])
     return {}
 
 
@@ -1145,6 +1145,167 @@ def loaded(directory, caplog) -> tuple:
     return channels, logs, warnings, files
 
 
+def reopen_against_full_replay(tmp_path, caplog, build, edit, ignored) -> None:
+    """Build a checkpointed store, edit it, and check that a reopen gives
+    what a full replay of a copy without checkpoints gives, warning as
+    `ignored` says."""
+    data = tmp_path / "data"
+    build(data)
+    cuts = edit(data)
+    full = tmp_path / "full"
+    shutil.copytree(data, full)
+    for checkpoint in full.glob("*.checkpoint"):
+        checkpoint.unlink()
+
+    expected, expected_logs, expected_warnings, _ = loaded(full, caplog)
+    channels, logs, warnings, files = loaded(data, caplog)
+    assert channels == expected
+    assert all(feed != "[]" for feed, _ in expected.values())
+    assert logs == expected_logs
+    for name, size in cuts.items():
+        assert len(logs[name]) == size
+    checkpoint_warnings = [w for w in warnings if w.startswith("ignoring checkpoint")]
+    assert [w for w in warnings if w not in checkpoint_warnings] == expected_warnings
+    if ignored is None:
+        assert checkpoint_warnings == []
+    else:
+        channel_id, reason = ignored
+        name = f"channel-{channel_id}.checkpoint"
+        assert len(checkpoint_warnings) == 1
+        assert checkpoint_warnings[0].startswith(f"ignoring checkpoint DIR/{name} ({reason}")
+        assert name not in files  # removed, so the next start does not warn again
+    assert "channel-3.checkpoint" not in files  # the failed cut's store wrote none
+
+
+# (typecode, the values of field 1 in turn) of each chunk int_checkpointed_store
+# writes: each typecode's bounds, then an int over 64 bits, which only JSON holds.
+WORD_CHUNKS = (
+    ("b", (-(2**7), 0, 2**7 - 1)),
+    ("h", (-(2**7) - 1, 0, 2**15 - 1)),
+    ("i", (-(2**31), 0, 2**15)),
+    ("q", (-(2**63), 0, 2**63 - 1)),
+    ("json", (0, 2**63, 1)),
+    ("h", (-(2**15), 1, 2)),  # the last chunk, of 10 entries
+)
+
+
+def int_checkpointed_store(data) -> None:
+    """One channel of int values in six chunks, closed cleanly: field 1 takes
+    the values WORD_CHUNKS gives its chunk in turn, field 2 small ints."""
+    store = TelemetryStore(data)
+    channel = store.create_channel("ints", ["big", "small"])
+    for chunk, (_, big) in enumerate(WORD_CHUNKS):
+        for i in range(chunk * 256, chunk * 256 + (256 if chunk < 5 else 10)):
+            values = {1: big[i % 3], 2: i % 100 - 50}
+            assert store.write_update(channel.write_key, values, float(i)) == i + 1
+    store.close()
+
+
+def word_block(raw: bytes, kind: str) -> int:
+    """The offset of the value words of the first chunk of `kind` in `raw`."""
+    head = f'"values":"{kind}"}}\n'.encode()
+    return raw.index(head) + len(head) + 256 * 8  # after the created_at words
+
+
+def with_chunks_crc(raw: bytes) -> bytes:
+    """`raw` with its trailer's CRC-32 made to match its chunks again."""
+    start, end = raw.index(b"\n") + 1, raw.rindex(b'{"entries":')
+    trailer = json.loads(raw[end:])
+    trailer["chunks_crc32"] = zlib.crc32(raw[start:end])
+    return raw[:end] + json.dumps(trailer, separators=(",", ":")).encode() + b"\n"
+
+
+def edit_the_checkpoint(change):
+    """An edit that rewrites channel 1's checkpoint as change(raw) gives."""
+
+    def edit(data) -> dict:
+        checkpoint = data / "channel-1.checkpoint"
+        checkpoint.write_bytes(change(checkpoint.read_bytes()))
+        return {}
+
+    return edit
+
+
+def flip_a_word_byte(raw: bytes) -> bytes:
+    at = word_block(raw, "i") + 5
+    return raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1 :]
+
+
+def name_a_typecode(old: str, new: str):
+    """A change that names typecode `new` where the checkpoint names `old`,
+    same size words, with the CRC made to match, so only the name is wrong."""
+
+    def change(raw: bytes) -> bytes:
+        return with_chunks_crc(raw.replace(f'"values":"{old}"'.encode(), f'"values":"{new}"'.encode(), 1))
+
+    return change
+
+
+def pad_a_chunk_head(raw: bytes) -> bytes:
+    """A valid chunk head, padded past the line limit, with the CRC made to match."""
+    head = b'{"chunk":256,"values":"b"}'
+    return with_chunks_crc(raw.replace(head, head[:-1] + b" " * 300 + b"}", 1))
+
+
+def write_a_format_1_checkpoint(data) -> dict:
+    """Replace channel 1's checkpoint with the format-1 one for the same log:
+    JSON lines of 256 entries between its header and trailer."""
+    meta = json.loads((data / "channels.jsonl").read_bytes().splitlines()[0])
+    log = (data / "channel-1.log").read_bytes()
+    records = [json.loads(line) for line in log.splitlines()]
+    header = {
+        "checkpoint": 1,
+        "channel_id": 1,
+        "write_key": meta["write_key"],
+        "read_key": meta["read_key"],
+        "width": 2,
+        "log_bytes": len(log),
+        "log_crc32": zlib.crc32(log),
+    }
+    lines = []
+    for start in range(0, len(records), 256):
+        chunk = records[start : start + 256]
+        columns = {
+            "created_at": [record["created_at"] for record in chunk],
+            "values": [record["values"][key] for record in chunk for key in ("1", "2")],
+        }
+        lines.append(json.dumps(columns, separators=(",", ":")).encode() + b"\n")
+    trailer = {"entries": len(records), "chunks_crc32": zlib.crc32(b"".join(lines))}
+    texts = [json.dumps(header).encode() + b"\n", *lines, json.dumps(trailer).encode() + b"\n"]
+    (data / "channel-1.checkpoint").write_bytes(b"".join(texts))
+    return {}
+
+
+OTHER_BYTE_ORDER = "big" if sys.byteorder == "little" else "little"
+
+# case -> (edit of an int_checkpointed_store, as in CHECKPOINT_EDITS).
+WORD_CHECKPOINT_EDITS = {
+    "word-byte-flipped": (
+        edit_the_checkpoint(flip_a_word_byte),
+        (1, "its trailer is missing or does not match"),
+    ),
+    "cut-inside-a-word-block": (
+        edit_the_checkpoint(lambda raw: raw[: word_block(raw, "q") + 100]),
+        (1, "its trailer is missing or does not match"),
+    ),
+    "typecode-d-named": (edit_the_checkpoint(name_a_typecode("q", "d")), (1, "a chunk's values are 'd'")),
+    "typecode-u-named": (edit_the_checkpoint(name_a_typecode("i", "u")), (1, "a chunk's values are 'u'")),
+    "chunk-head-over-the-line-limit": (
+        edit_the_checkpoint(pad_a_chunk_head),
+        (1, "a line is cut or longer than 256 bytes"),
+    ),
+    "other-byte-order": (
+        edit_the_checkpoint(
+            lambda raw: raw.replace(
+                f'"byteorder":"{sys.byteorder}"'.encode(), f'"byteorder":"{OTHER_BYTE_ORDER}"'.encode(), 1
+            )
+        ),
+        (1, "not a checkpoint of this format"),
+    ),
+    "format-1-written-by-hand": (write_a_format_1_checkpoint, (1, "not a checkpoint of this format")),
+}
+
+
 class TestCheckpoint:
     """A clean close() checkpoints each channel's columns; a reopen loads the
     checkpoint and replays only the log written since."""
@@ -1152,32 +1313,37 @@ class TestCheckpoint:
     @pytest.mark.parametrize("case", list(CHECKPOINT_EDITS))
     def test_a_reopen_gives_what_a_full_replay_gives(self, tmp_path, caplog, case):
         edit, ignored = CHECKPOINT_EDITS[case]
+        reopen_against_full_replay(tmp_path, caplog, checkpointed_store, edit, ignored)
+
+    @pytest.mark.parametrize("case", list(WORD_CHECKPOINT_EDITS))
+    def test_a_reopen_of_int_words_gives_what_a_full_replay_gives(self, tmp_path, caplog, case):
+        edit, ignored = WORD_CHECKPOINT_EDITS[case]
+        reopen_against_full_replay(tmp_path, caplog, int_checkpointed_store, edit, ignored)
+
+    def test_each_chunk_of_ints_is_words_of_the_narrowest_typecode(self, tmp_path):
+        data = tmp_path / "data"
+        int_checkpointed_store(data)
+        kinds = re.findall(rb'"values":"(\w+)"', (data / "channel-1.checkpoint").read_bytes())
+        assert [kind.decode() for kind in kinds] == [kind for kind, _ in WORD_CHUNKS]
+
+    def test_a_temporary_file_a_crash_left_is_removed_on_open(self, tmp_path):
+        # A kill while close() wrote channel 1's checkpoint, and one while it
+        # wrote channel 2's first.
         data = tmp_path / "data"
         checkpointed_store(data)
-        cuts = edit(data)
-        full = tmp_path / "full"
-        shutil.copytree(data, full)
-        for checkpoint in full.glob("*.checkpoint"):
-            checkpoint.unlink()
-
-        expected, expected_logs, expected_warnings, _ = loaded(full, caplog)
-        channels, logs, warnings, files = loaded(data, caplog)
-        assert channels == expected
-        assert all(feed != "[]" for feed, _ in expected.values())
-        assert logs == expected_logs
-        for name, size in cuts.items():
-            assert len(logs[name]) == size
-        checkpoint_warnings = [w for w in warnings if w.startswith("ignoring checkpoint")]
-        assert [w for w in warnings if w not in checkpoint_warnings] == expected_warnings
-        if ignored is None:
-            assert checkpoint_warnings == []
-        else:
-            channel_id, reason = ignored
-            name = f"channel-{channel_id}.checkpoint"
-            assert len(checkpoint_warnings) == 1
-            assert checkpoint_warnings[0].startswith(f"ignoring checkpoint DIR/{name} ({reason}")
-            assert name not in files  # removed, so the next start does not warn again
-        assert "channel-3.checkpoint" not in files  # the failed cut's store wrote none
+        (data / "channel-2.checkpoint").unlink()
+        for channel_id in (1, 2):
+            (data / f"channel-{channel_id}.checkpoint.tmp").write_bytes(b'{"checkpoint":')
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            store = TelemetryStore(data)
+        store.close()
+        assert sorted(path.name for path in data.iterdir()) == [
+            "channel-1.checkpoint",
+            "channel-1.log",
+            "channel-2.checkpoint",
+            "channel-2.log",
+            "channels.jsonl",
+        ]
 
     def test_only_a_first_close_checkpoints_and_only_a_non_empty_log(self, tmp_path):
         data = tmp_path / "data"
