@@ -30,17 +30,21 @@ a torn record.
 close() writes a checkpoint of each channel's columns beside its non-empty
 log (channel-N.checkpoint, written a chunk of entries at a time to a
 temporary file and renamed into place; opening the store removes a
-temporary file a crash left). Its header names the format, the byte order,
-the channel, its keys and width, and the log bytes it covers with their
-CRC-32; its trailer gives the entry count and the CRC-32 of the chunks. Both
-are JSON lines. A chunk is a JSON head line followed by its created_at as
-float64 words, then its values: as words of the narrowest array typecode of
-b, h, i and q that holds them all when every value is an int, so loading a
-channel of ints parses no number from text, and as a JSON list otherwise.
-Only acknowledged records are covered: a memory-only store, a second close()
+temporary file a crash left). Its header, a JSON line, names the format,
+the byte order, the channel, its keys and width, the log bytes it covers
+with their CRC-32, and the entry count. Then come chunks of
+_CHECKPOINT_ENTRIES entries (the last may be shorter), each its created_at
+as float64 words followed by its values as int64 words, so loading parses
+no number from text; a JSON trailer line gives the CRC-32 of the chunks.
+Int64 words are the one value encoding: a channel holding any value other
+than an int of at most 64 bits (a float, text, a field an entry left out)
+gets no new checkpoint and replays its log, while a checkpoint written
+before such a value arrived stays valid for the prefix it covers. Only
+acknowledged records are covered: a memory-only store, a second close()
 and a store that closed itself after a failed cut write none. Recovery
-loads a channel's checkpoint when every check holds and replays only the
-log after the bytes it covers; otherwise (another format or byte order
+loads a channel's checkpoint when every check holds (among them that the
+covered log bytes hold as many records as it has entries) and replays only
+the log after the bytes it covers; otherwise (another format or byte order
 among them) it warns, removes the checkpoint and replays the whole log, as
 it does a log that a crash left without one.
 
@@ -89,11 +93,9 @@ MAX_FIELDS = 8
 VISIBILITIES = ("private", "shared")
 
 _META_FILE = "channels.jsonl"
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 _CHECKPOINT_ENTRIES = 256  # entries per chunk: neither side holds the whole checkpoint
-_LINE_BYTES = 256  # over the longest chunk head or trailer line a checkpoint holds
-# Typecode -> the bound its words hold ints below (and at or above its negative).
-_WORD_BOUNDS = {code: 1 << 8 * array(code).itemsize - 1 for code in "bhiq"}
+_LINE_BYTES = 256  # over a checkpoint header's length beyond its owner's, and its trailer's
 _BLOCK_BYTES = 1 << 16  # bytes read at a time to take a log's CRC-32
 _checkpoint_json = json.JSONEncoder(separators=(",", ":")).encode
 _POSITIONS = range(1, MAX_FIELDS + 1)
@@ -352,8 +354,9 @@ def _remove(path: Path) -> None:
 
 
 def _log_crc(path: Path, size: int) -> tuple:
-    """(bytes read, their CRC-32) of the first `size` bytes of `path`, read a block at a time."""
-    crc = done = 0
+    """(bytes read, their CRC-32, the newlines in them) of the first `size`
+    bytes of `path`, read a block at a time."""
+    crc = done = lines = 0
     with path.open("rb") as fh:
         while done < size:
             block = fh.read(min(_BLOCK_BYTES, size - done))
@@ -361,7 +364,8 @@ def _log_crc(path: Path, size: int) -> tuple:
                 break
             crc = zlib.crc32(block, crc)
             done += len(block)
-    return done, crc
+            lines += block.count(b"\n")
+    return done, crc, lines
 
 
 def _owner(channel: "Channel") -> dict:
@@ -379,70 +383,45 @@ def _temp(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
-def _int_words(values: list) -> Optional[array]:
-    """`values` as an array of the narrowest typecode in _WORD_BOUNDS that
-    holds them all, or None unless each is an int of at most 64 bits."""
-    try:
-        words = array("q", values)
-    except (TypeError, OverflowError):  # None, a float, text or a wider int
-        return None
-    low, high = min(words), max(words)
-    code = next(code for code, bound in _WORD_BOUNDS.items() if -bound <= low and high < bound)
-    return array(code, words)
-
-
 def _write_checkpoint(path: Path, channel: "Channel", log: Path) -> None:
     """Write `channel`'s columns to `path` as a checkpoint of `log`, which
     holds exactly their records, a chunk of _CHECKPOINT_ENTRIES entries at a
-    time. A write that fails leaves none. The caller holds the lock."""
+    time. A write that fails leaves none, and so does a value that is not
+    an int of at most 64 bits. The caller holds the lock."""
     temp = _temp(path)
     created_at, values, width = channel.created_at, channel.values, channel.width
     try:
-        size, log_crc = _log_crc(log, sys.maxsize)
+        size, log_crc, _ = _log_crc(log, sys.maxsize)
         header = {"checkpoint": _CHECKPOINT_VERSION, "byteorder": sys.byteorder}
-        header.update(_owner(channel), log_bytes=size, log_crc32=log_crc)
+        header.update(_owner(channel), log_bytes=size, log_crc32=log_crc, entries=len(created_at))
         crc = 0
         with temp.open("wb") as fh:
             fh.write(_checkpoint_json(header).encode("ascii") + b"\n")
             for start in range(0, len(created_at), _CHECKPOINT_ENTRIES):
                 stop = start + _CHECKPOINT_ENTRIES
-                stamps = created_at[start:stop]
-                row = values[start * width : stop * width]
-                words = _int_words(row)
-                if words is None:
-                    block = _checkpoint_json(row).encode("ascii")  # None gives null
-                    head = {"chunk": len(stamps), "values": "json", "bytes": len(block)}
-                else:
-                    block = words.tobytes()
-                    head = {"chunk": len(stamps), "values": words.typecode}
-                chunk = _checkpoint_json(head).encode("ascii") + b"\n" + stamps.tobytes() + block
+                words = array("q", values[start * width : stop * width])
+                chunk = created_at[start:stop].tobytes() + words.tobytes()
                 crc = zlib.crc32(chunk, crc)
                 fh.write(chunk)
-            trailer = {"entries": len(created_at), "chunks_crc32": crc}
-            fh.write(_checkpoint_json(trailer).encode("ascii") + b"\n")
+            fh.write(_checkpoint_json({"chunks_crc32": crc}).encode("ascii") + b"\n")
         os.replace(temp, path)
+    except (TypeError, OverflowError):  # from array("q"): None, a float, text or a wider int
+        pass  # the channel replays its log, from the checkpoint on disk if it has one
     except OSError as exc:  # a full disk, say: the next start replays more of the log
         _warn("no checkpoint of %s written (%s)", log, exc)
     finally:
         _remove(temp)  # gone already once renamed
 
 
-def _line(fh, limit: int) -> bytes:
-    """The next line of `fh`, b"" at its end; one of more than `limit` bytes raises."""
-    line = fh.readline(limit)
-    if line and not line.endswith(b"\n"):
-        raise ValueError(f"a line is cut or longer than {limit} bytes")
-    return line
-
-
 def _load_checkpoint(fh, channel: "Channel", log: Path) -> int:
     """Load `channel`'s columns and last_values from the checkpoint open as
     `fh`, a chunk at a time; the log bytes it covers. A checkpoint of another
     format, byte order or channel, one whose log does not start with the
-    bytes it covers, or one whose trailer is missing or does not match its
-    chunks raises, leaving the channel as it was."""
+    bytes it covers or holds another number of records in them, and one
+    whose trailer is missing or does not match its chunks raise, leaving the
+    channel as it was."""
     owner = _owner(channel)
-    header = json.loads(_line(fh, len(_checkpoint_json(owner)) + _LINE_BYTES))
+    header = json.loads(fh.readline(len(_checkpoint_json(owner)) + _LINE_BYTES))
     if (
         type(header) is not dict
         or header.get("checkpoint") != _CHECKPOINT_VERSION
@@ -451,52 +430,29 @@ def _load_checkpoint(fh, channel: "Channel", log: Path) -> int:
         raise ValueError("not a checkpoint of this format")
     if {key: header.get(key) for key in owner} != owner:
         raise ValueError("written for another channel")
-    covered, log_crc = header["log_bytes"], header["log_crc32"]
-    if type(covered) is not int or covered < 1 or _log_crc(log, covered) != (covered, log_crc):
-        raise ValueError(f"the log does not start with the {covered} bytes it covers")
+    covered, entries = header["log_bytes"], header["entries"]
+    if (
+        type(covered) is not int
+        or covered < 1
+        or _log_crc(log, covered) != (covered, header["log_crc32"], entries)
+    ):
+        raise ValueError(
+            f"the log does not start with the {covered} bytes and {entries} records it covers"
+        )
     width = channel.width
-    file_bytes = os.fstat(fh.fileno()).st_size  # no chunk may ask to read more
-    created_at, values = array("d"), []
-    crc, trailer = 0, None
-    while line := _line(fh, _LINE_BYTES):
-        head = json.loads(line)
-        if "entries" in head:
-            if fh.read(1):
-                raise ValueError("bytes follow the trailer")
-            trailer = head
-            break
-        entries, kind = head["chunk"], head["values"]
-        if type(entries) is not int or not 1 <= entries <= _CHECKPOINT_ENTRIES:
-            raise ValueError(f"a chunk of {entries!r} entries")
-        if kind == "json":
-            size = head["bytes"]
-            if type(size) is not int or not 1 <= size <= file_bytes:
-                raise ValueError(f"a chunk of {size!r} bytes")
-        elif kind in _WORD_BOUNDS:
-            size = entries * width * array(kind).itemsize
-        else:  # a typecode such as d or u would load floats or text as values
-            raise ValueError(f"a chunk's values are {kind!r}, not json or words of bhiq")
-        stamps = entries * created_at.itemsize
-        body = fh.read(stamps + size)
-        if len(body) < stamps + size:
+    created_at, values, crc = array("d"), [], 0
+    for start in range(0, entries, _CHECKPOINT_ENTRIES):
+        stamps = min(_CHECKPOINT_ENTRIES, entries - start) * created_at.itemsize
+        chunk = fh.read(stamps * (1 + width))
+        if len(chunk) < stamps * (1 + width):
             break  # the file ends inside a chunk, so before its trailer
-        crc = zlib.crc32(body, zlib.crc32(line, crc))
-        created_at.frombytes(body[:stamps])
-        if kind == "json":
-            chunk = json.loads(body[stamps:])
-            if type(chunk) is not list or len(chunk) != entries * width:
-                raise ValueError("a chunk's columns differ in length")
-            values += chunk
-        else:
-            values += array(kind, body[stamps:]).tolist()
-    if trailer != {"entries": len(created_at), "chunks_crc32": crc}:
+        crc = zlib.crc32(chunk, crc)
+        created_at.frombytes(chunk[:stamps])
+        values += array("q", chunk[stamps:]).tolist()
+    if fh.read(_LINE_BYTES) != _checkpoint_json({"chunks_crc32": crc}).encode("ascii") + b"\n":
         raise ValueError("its trailer is missing or does not match its chunks")
     channel.created_at, channel.values = created_at, values
-    for pos in range(1, width + 1):  # the newest value at each position, newest entry first
-        for i in range(len(values) - width + pos - 1, -1, -width):
-            if values[i] is not None:
-                channel.last_values[pos] = values[i]
-                break
+    channel.last_values.update(enumerate(values[-width:], 1))  # no checkpointed value is None
     return covered
 
 
