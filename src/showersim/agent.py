@@ -132,21 +132,6 @@ def render_status(
     return "\n".join(lines) + "\n"
 
 
-def _peer_closed(sock) -> bool:
-    """An idle keep-alive socket with anything to read has been closed by the peer."""
-    timeout = sock.gettimeout()
-    sock.settimeout(0)
-    try:
-        sock.recv(1, socket.MSG_PEEK)  # b"" at end of stream, or unsolicited bytes
-    except BlockingIOError:
-        return False
-    except OSError:
-        pass
-    finally:
-        sock.settimeout(timeout)
-    return True
-
-
 _UNRESERVED = frozenset(string.ascii_letters + string.digits + "_.-~")  # quote_plus keeps these
 
 
@@ -164,6 +149,15 @@ class TelemetryClient:
     headers and Content-Length bytes of body under `telemetry.wire`'s rules.
     An answer carrying `Connection: close` closes the socket after it; one
     that cannot be framed closes it and reads `unreachable`.
+
+    A reused connection that ends before any answer byte (end of stream, a
+    reset or a broken pipe) is closed, and the post is sent once more on a
+    fresh connection. The retry relies on telemetry-serve closing a
+    connection without an answer only when it has sat idle: then the server
+    never took the post, so resending it cannot store it twice (RFC 9112
+    section 9.3.1). A timeout, an answer cut after its first byte, and the
+    same end on a fresh connection read `unreachable`, and the agent keeps
+    the post queued.
     """
 
     def __init__(self, base_url: str, timeout_s: float = 5.0):
@@ -188,20 +182,17 @@ class TelemetryClient:
         request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
         while True:  # a second pass only ever runs on a fresh connection
             reused = self._sock is not None
-            if reused and _peer_closed(self._sock):
-                self.close()
-                reused = False
             try:
-                if self._sock is None:
+                if not reused:
                     self._connect()
                 try:
                     self._sock.sendall(request)
                     status_line = self._answers.readline(MAX_LINE_BYTES + 1)
-                except BrokenPipeError:
+                except ConnectionError:  # a reset or a broken pipe; a timeout is not one
                     status_line = b""
                 if not status_line:
-                    # Closed before any answer byte: the server never took this
-                    # post, so one retry on a fresh connection cannot store it twice.
+                    # Closed before any answer byte: on a reused connection the
+                    # server closed it idle, so it never took this post.
                     self.close()
                     if reused:
                         continue

@@ -38,14 +38,7 @@ from itertools import islice
 from typing import Optional
 from urllib.parse import unquote_plus, urlparse
 
-from .store import (
-    JSON_TEXT,
-    MAX_FIELDS,
-    AuthenticationError,
-    TelemetryError,
-    TelemetryStore,
-    ValidationError,
-)
+from .store import JSON_TEXT, MAX_FIELDS, TelemetryError, TelemetryStore, ValidationError
 from .wire import MAX_BODY_BYTES, MAX_LINE_BYTES, Refusal, body_length, read_headers
 
 REQUEST_TIMEOUT_S = 30.0  # longest wait for a client's bytes; an answer's write gets as long
@@ -275,25 +268,21 @@ class TelemetryRequestHandler(socketserver.StreamRequestHandler):
         self._send_text(404, "not found")
 
     def _post_update(self, params) -> None:
-        api_key = self._first(params, "api_key")
-        if api_key is None:
-            raise AuthenticationError("invalid key")
+        """Check the two HTTP rules, a `fieldN` name for each position and a
+        created_at in simulation-time mode, and hand the key, the values and
+        the created_at text to the store, which checks them."""
         for key in params:
             if key.startswith("field") and key not in _FIELD_POSITIONS:
                 raise ValidationError(f"field position {key[5:]} outside the channel schema")
         values = {
             pos: _coerce(params[key][0]) for key, pos in _FIELD_POSITIONS.items() if key in params
         }
+        created_at = None  # stamped by the store clock under the channel lock
         if self.server.sim_time:
-            raw_created = self._first(params, "created_at")
-            if raw_created is None:
+            created_at = self._first(params, "created_at")
+            if created_at is None:
                 raise ValidationError("created_at is required in simulation-time mode")
-            try:
-                created_at = float(raw_created)
-            except ValueError:
-                raise ValidationError("created_at must be numeric") from None
-        else:
-            created_at = None  # stamped by the store clock under the channel lock
+        api_key = self._first(params, "api_key")
         entry_id = self.server.store.write_update(api_key, values, created_at)
         self._send_text(200, str(entry_id))
 

@@ -43,10 +43,11 @@ before such a value arrived stays valid for the prefix it covers. Only
 acknowledged records are covered: a memory-only store, a second close()
 and a store that closed itself after a failed cut write none. Recovery
 loads a channel's checkpoint when every check holds (among them that the
-covered log bytes hold as many records as it has entries) and replays only
-the log after the bytes it covers; otherwise (another format or byte order
-among them) it warns, removes the checkpoint and replays the whole log, as
-it does a log that a crash left without one.
+covered log bytes hold as many records as it has entries and end with a
+record's newline, not inside a record) and replays only the log after the
+bytes it covers; otherwise (another format or byte order among them) it
+warns, removes the checkpoint and replays the whole log, as it does a log
+that a crash left without one.
 
 Recovery reads each log a line at a time and scans the line with the C JSON
 scanner, appending to the columns as it goes; the whole text is never held.
@@ -354,9 +355,10 @@ def _remove(path: Path) -> None:
 
 
 def _log_crc(path: Path, size: int) -> tuple:
-    """(bytes read, their CRC-32, the newlines in them) of the first `size`
-    bytes of `path`, read a block at a time."""
+    """(bytes read, their CRC-32, the newlines in them, the last of them) of
+    the first `size` bytes of `path`, read a block at a time."""
     crc = done = lines = 0
+    last = b""
     with path.open("rb") as fh:
         while done < size:
             block = fh.read(min(_BLOCK_BYTES, size - done))
@@ -365,7 +367,8 @@ def _log_crc(path: Path, size: int) -> tuple:
             crc = zlib.crc32(block, crc)
             done += len(block)
             lines += block.count(b"\n")
-    return done, crc, lines
+            last = block[-1:]
+    return done, crc, lines, last
 
 
 def _owner(channel: "Channel") -> dict:
@@ -391,7 +394,7 @@ def _write_checkpoint(path: Path, channel: "Channel", log: Path) -> None:
     temp = _temp(path)
     created_at, values, width = channel.created_at, channel.values, channel.width
     try:
-        size, log_crc, _ = _log_crc(log, sys.maxsize)
+        size, log_crc, _, _ = _log_crc(log, sys.maxsize)
         header = {"checkpoint": _CHECKPOINT_VERSION, "byteorder": sys.byteorder}
         header.update(_owner(channel), log_bytes=size, log_crc32=log_crc, entries=len(created_at))
         crc = 0
@@ -417,9 +420,9 @@ def _load_checkpoint(fh, channel: "Channel", log: Path) -> int:
     """Load `channel`'s columns and last_values from the checkpoint open as
     `fh`, a chunk at a time; the log bytes it covers. A checkpoint of another
     format, byte order or channel, one whose log does not start with the
-    bytes it covers or holds another number of records in them, and one
-    whose trailer is missing or does not match its chunks raise, leaving the
-    channel as it was."""
+    bytes it covers, holds another number of records in them or has them end
+    inside a record, and one whose trailer is missing or does not match its
+    chunks raise, leaving the channel as it was."""
     owner = _owner(channel)
     header = json.loads(fh.readline(len(_checkpoint_json(owner)) + _LINE_BYTES))
     if (
@@ -434,10 +437,10 @@ def _load_checkpoint(fh, channel: "Channel", log: Path) -> int:
     if (
         type(covered) is not int
         or covered < 1
-        or _log_crc(log, covered) != (covered, header["log_crc32"], entries)
+        or _log_crc(log, covered) != (covered, header["log_crc32"], entries, b"\n")
     ):
         raise ValueError(
-            f"the log does not start with the {covered} bytes and {entries} records it covers"
+            f"the log does not start with the {covered} bytes of {entries} whole records it covers"
         )
     width = channel.width
     created_at, values, crc = array("d"), [], 0
@@ -609,13 +612,15 @@ class TelemetryStore:
 
         With created_at=None the entry is stamped with the store clock at
         commit time, under the channel lock, so concurrent writers can never
-        produce out-of-order timestamps. A field position that is not an int
-        inside the schema (a bool is refused), a value that is not an int of
-        at most 4,300 digits, a finite float or a str (the types the HTTP API
-        parses), or a created_at that is not a finite number raises
-        ValidationError, a write after close() raises StoreClosedError, and an
-        append the log file refuses raises StorageError; none stores anything,
-        so every acknowledged entry replays as written.
+        produce out-of-order timestamps. A write_key that no channel has (None
+        among them) raises AuthenticationError. A field position that is not
+        an int inside the schema (a bool is refused), a value that is not an
+        int of at most 4,300 digits, a finite float or a str (the types the
+        HTTP API parses), or a created_at, a number or its text, that float()
+        does not read as a finite number raises ValidationError, a write after
+        close() raises StoreClosedError, and an append the log file refuses
+        raises StorageError; none stores anything, so every acknowledged entry
+        replays as written.
         """
         channel = self._by_write_key.get(write_key)
         if channel is None:

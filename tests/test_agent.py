@@ -3,6 +3,7 @@ from __future__ import annotations
 import http.client
 import re
 import socket
+import struct
 import threading
 import time
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from showersim.telemetry.server import TelemetryRequestHandler
 from showersim.telemetry.store import MAX_FIELDS, TelemetryError, TelemetryStore
 from showersim.controller import Occupancy, WaterMode
 from showersim.safety import AlertKind, SafetyConfig
-from showersim.sensors import EnvironmentState, PersonPose
+from showersim.sensors import EnvironmentState, PersonPose, default_ultrasonic_array
 
 from conftest import GOLDEN_DIR
 
@@ -349,6 +350,27 @@ class TestTelemetryClient:
         assert len(sim_server.store.read_feed(ch.channel_id, ch.read_key, 10)) == 2
         assert len(accepted) == 2
 
+    def test_reconnects_once_after_server_resets_idle_connection(self, sim_server, monkeypatch):
+        monkeypatch.setattr(TelemetryRequestHandler, "timeout", 0.2)  # server closes idle sockets
+
+        def reset(request):  # close with RST instead of FIN
+            request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            request.close()
+
+        monkeypatch.setattr(sim_server, "shutdown_request", reset)
+        ch = sim_server.store.create_channel("reset", ["n"])
+        accepted = count_connections(sim_server)
+        client = TelemetryClient(sim_server.url)
+        try:
+            assert client.post_update(ch.write_key, {1: 1}, 0.0) == ("200 OK", 1)
+            time.sleep(0.6)
+            assert client.post_update(ch.write_key, {1: 2}, 1.0) == ("200 OK", 2)
+        finally:
+            client.close()
+        feed = sim_server.store.read_feed(ch.channel_id, ch.read_key, 10)
+        assert [(e.entry_id, e.values) for e in feed] == [(1, {1: 1}), (2, {1: 2})]
+        assert len(accepted) == 2
+
     def test_store_client_answers_like_the_http_api(self, sim_server):
         ch = sim_server.store.create_channel("twins", ["a", "b", "c"], min_post_interval_s=0.0)
         http_client = TelemetryClient(sim_server.url)
@@ -429,16 +451,19 @@ def canned_server(*connections):
     """A loopback server that serves its connections one after the other.
 
     Each item of `connections` is the list of answers for one connection, sent
-    one per request; the connection is closed after its last answer.
-    Yields the server's URL.
+    one per request (an empty answer sends nothing); the connection is closed
+    after its last answer. Yields the server's URL, and on leaving checks
+    that the client opened exactly the connections listed.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(5)
+    accepted = []
 
     def serve():
         try:
             for answers in connections:
                 conn, _ = listener.accept()
+                accepted.append(conn)
                 with conn:
                     for answer in answers:
                         if not read_request(conn):
@@ -453,7 +478,15 @@ def canned_server(*connections):
         yield f"http://127.0.0.1:{listener.getsockname()[1]}"
     finally:
         thread.join(timeout=10)
+        listener.setblocking(False)
+        try:  # a connection the client opened beyond those listed waits here
+            listener.accept()[0].close()
+            accepted.append(None)
+        except BlockingIOError:
+            pass
         listener.close()
+    assert not thread.is_alive()
+    assert len(accepted) == len(connections), "the client opened another number of connections"
 
 
 class TestTelemetryClientWire:
@@ -515,16 +548,44 @@ class TestTelemetryClientWire:
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 1\r\n\r\n1",
             b"HTTP/1.1 200 OK\r\nX-Note\r\nContent-Length: 1\r\n\r\n1",
             b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n",
+            b"HTTP/1.1 200 OK",
         ],
         ids=["garbled-status", "no-status-line", "no-content-length", "body-cut-short",
              "huge-length", "differing-lengths", "chunked-beside-length", "no-colon",
-             "head-cut-by-end-of-stream"],
+             "head-cut-by-end-of-stream", "status-line-cut"],
     )
     def test_an_answer_it_cannot_read_is_unreachable(self, answer):
         with canned_server([answer]) as url:
             client = TelemetryClient(url)
             try:
                 assert client.post_update("KEY", {1: 1}, 0.0) == ("unreachable", None)
+            finally:
+                client.close()
+
+    def test_a_200_whose_body_is_not_an_int_names_no_entry(self):
+        with canned_server([b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"]) as url:
+            client = TelemetryClient(url)
+            try:
+                assert client.post_update("KEY", {1: 1}, 0.0) == ("200 OK", None)
+            finally:
+                client.close()
+
+    def test_a_fresh_connection_closed_before_any_answer_byte_is_unreachable(self):
+        with canned_server([b""]) as url:  # reads the post, closes without answering
+            client = TelemetryClient(url)
+            try:
+                assert client.post_update("KEY", {1: 1}, 0.0) == ("unreachable", None)
+            finally:
+                client.close()
+
+    def test_a_reused_connection_gets_one_retry_only(self):
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n1"
+        # The first connection closes after its answer; the retry's closes unanswered.
+        with canned_server([ok], [b""]) as url:
+            client = TelemetryClient(url)
+            try:
+                assert client.post_update("KEY", {1: 1}, 0.0) == ("200 OK", 1)
+                assert client.post_update("KEY", {1: 2}, 1.0) == ("unreachable", None)
             finally:
                 client.close()
 
@@ -550,6 +611,14 @@ class TestAgentConfig:
     def test_tick_positive(self):
         with pytest.raises(ValueError):
             AgentConfig(tick_s=0)
+
+    def test_queue_limit_at_least_one(self):
+        with pytest.raises(ValueError, match="queue_limit must be >= 1"):
+            AgentConfig(queue_limit=0)
+
+    def test_the_agent_needs_three_rangers(self):
+        with pytest.raises(ValueError, match="exactly three ultrasonic rangers"):
+            DeviceAgent(AgentConfig(), sensor_cfgs=default_ultrasonic_array()[:1])
 
     def test_field_positions_bounded(self):
         assert all(1 <= pos <= MAX_FIELDS for pos in AgentConfig().field_map)

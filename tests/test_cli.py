@@ -59,6 +59,9 @@ BAD_CONFIG_LINES = {
     "tick_s = 1e-320": "display_every_s / tick_s is not a finite number",
     # detect_thud can never see 10 loud samples after a quiet one in a 10-sample window
     "thud_min_ones = 10": "thud_min_ones must be below thud_window_samples",
+    "require_thud = maybe": "bad value for require_thud: not a boolean: 'maybe'",
+    "tick_s 1": "line 1: expected 'key = value'",
+    "preference_mode = sometimes": "preference_mode must be auto or fixed, got 'sometimes'",
 }
 
 

@@ -176,6 +176,12 @@ class TestRunScenario:
         with pytest.raises(ScenarioValidationError, match="plans 21 ticks, over the cap of 20$"):
             run_scenario(events)
 
+    @pytest.mark.parametrize("cut", [0, 2], ids=["no-events", "end-left-out"])
+    def test_events_that_do_not_end_in_end_are_refused(self, cut):
+        events = parse_scenario("at 0 env temp=25\nat 5 person enter distance=10\nat 8 end\n")
+        with pytest.raises(ScenarioValidationError, match="must finish with an end event"):
+            run_scenario(events[:cut])
+
     def test_replay_is_deterministic(self):
         a = run_file("fall.scn", seed=42)
         b = run_file("fall.scn", seed=42)
@@ -449,6 +455,14 @@ class TestConfig:
         assert config.safety.require_thud is False
         assert config.agent.tick_s == 0.5
         assert config.sensors[2].mount_height == 25
+
+    @pytest.mark.parametrize(
+        "word, value",
+        [("true", True), ("Yes", True), ("on", True), ("1", True),
+         ("false", False), ("no", False), ("OFF", False), ("0", False)],
+    )
+    def test_boolean_words(self, word, value):
+        assert parse_config(f"require_thud = {word}\n").safety.require_thud is value
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):

@@ -30,7 +30,23 @@ IMPOSSIBLE_PERSON_ACTIONS = {
 }
 
 
+# a line parse_scenario refuses -> the refusal, after "line 1: "
+BAD_LINES = {
+    "go 0 env temp=20": "expected 'at <seconds> <kind> ...'",
+    "at 0 env temp": "expected key=value, got 'temp'",
+    "at 0 env temp=20 temp=21": "duplicate parameter 'temp'",
+    "at 0 env": "env event needs temp= and/or humidity=",
+    "at 0 person enter": "missing parameter(s): distance",
+}
+
+
 class TestParse:
+    @pytest.mark.parametrize("line", list(BAD_LINES))
+    def test_a_bad_line_is_refused_naming_it(self, line):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(line + "\nat 5 end\n")
+        assert str(info.value) == f"line 1: {BAD_LINES[line]}"
+
     def test_three_events(self):
         events = parse_scenario(
             "at 0 env temp=25 humidity=15\nat 5 person enter distance=140\nat 10 end\n"

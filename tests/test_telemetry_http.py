@@ -1184,6 +1184,25 @@ class TestPinnedAnswers:
                 + NOPE,
                 text_answer(b"400 Bad Request", b"results must be an integer") + NOT_FOUND,
             ),
+            (
+                b"POST /nope HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n",
+                NOT_FOUND,
+            ),
+            (
+                b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: {n}\r\n\r\n"
+                b"field1=7&created_at=2",
+                text_answer(b"401 Unauthorized", b"invalid key"),
+            ),
+            (
+                b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: {n}\r\n\r\n"
+                b"api_key={write}&field1=7&created_at=x",
+                text_answer(b"400 Bad Request", b"created_at must be a number"),
+            ),
+            (  # the server's own rule is checked before the store checks the key
+                b"POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: {n}\r\n\r\n"
+                b"field1=7&field9=1&created_at=2",
+                text_answer(b"400 Bad Request", b"field position 9 outside the channel schema"),
+            ),
             (  # were the body read as a request, `hello` would get 400
                 b"GET /nope HTTP/1.1\r\nHost: test\r\nContent-Length: 7\r\n\r\nhello\r\n" + NOPE,
                 NOT_FOUND + NOT_FOUND,
@@ -1195,7 +1214,8 @@ class TestPinnedAnswers:
              "version-past-ten-digits", "four-word-line", "http-0.9-post", "http-0.9-head",
              "http-1.0-closes", "http-1.0-keep-alive", "http-01.1-kept-alive", "double-slash-path",
              "bad-key-kept-alive", "no-channel-kept-alive", "bad-results-kept-alive",
-             "get-body-skipped", "leading-blank-line"],
+             "post-not-found", "post-without-key", "created-at-not-a-number",
+             "no-key-and-field9", "get-body-skipped", "leading-blank-line"],
     )
     def test_answer_bytes(self, sim_server, request_bytes, answer):
         ch = sim_server.store.create_channel("shower", ["distance"])

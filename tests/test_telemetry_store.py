@@ -661,6 +661,7 @@ class TestReplayInvariants:
             b'{"entry_id": 2, "created_at": -5.0, "values": {"1": 2}}',
             b'{"entry_id": 2, "created_at": 1.0, "values": {"9": 2}}',
             b'{"entry_id": 2, "created_at": 1.0, "values": {"1": 1e999}}',
+            b'{"entry_id": 2, "created_at": 1.0, "values": {}}',
         ],
         ids=[
             "not-an-object",
@@ -670,6 +671,7 @@ class TestReplayInvariants:
             "created-at-goes-back",
             "position-outside-schema",
             "infinite-value",
+            "empty-values",
         ],
     )
     def test_bad_record_is_truncated(self, tmp_path, caplog, record):
@@ -949,6 +951,22 @@ store.close()
 print(json.dumps({"error": error, "later": later, "read_key": ch.read_key}))
 """
 
+CHECKPOINT_REFUSED = LIMITED_FILES + """
+import logging
+
+class Kept(logging.Handler):
+    def emit(self, record):
+        kept.append(record.getMessage())
+
+kept = []
+logging.getLogger("showersim.telemetry.store").addHandler(Kept())
+ch = store.create_channel("shower", ["n"], min_post_interval_s=0)
+for i in range(300):
+    store.write_update(ch.write_key, {1: i}, float(i))
+error = refused(store.close, limit=1024)  # the checkpoint is about 5 KB
+print(json.dumps({"error": error, "warnings": kept, "files": sorted(os.listdir(sys.argv[1]))}))
+"""
+
 
 def run_script(script: str, data) -> dict:
     """Run a LIMITED_FILES script over `data` in a fresh interpreter; the JSON it prints."""
@@ -997,6 +1015,20 @@ class TestFailedAppend:
             assert reopened.read_feed(2, read_key, 10) == [Entry(1, 0.0, {1: 7})]
             with pytest.raises(NotFoundError):
                 reopened.channel(3)
+        finally:
+            reopened.close()
+
+    def test_a_checkpoint_write(self, tmp_path):
+        data = tmp_path / "data"
+        out = run_script(CHECKPOINT_REFUSED, data)
+        assert out["error"] is None
+        assert len(out["warnings"]) == 1
+        assert out["warnings"][0].startswith(f"no checkpoint of {data / 'channel-1.log'} written (")
+        assert out["files"] == ["channel-1.log", "channels.jsonl"]
+        with unittest.TestCase().assertNoLogs("showersim.telemetry.store", logging.WARNING):
+            reopened = TelemetryStore(data)
+        try:
+            assert len(reopened.read_feed(1, reopened.channel(1).read_key, 1000)) == 300
         finally:
             reopened.close()
 
@@ -1107,6 +1139,21 @@ def drop_the_last_entry(raw: bytes) -> bytes:
     header["entries"] -= 1
     body = b"".join(a + b for a, b in chunks(stamps[:-1], values[:-3]))
     return json_line(header) + body + json_line({"chunks_crc32": zlib.crc32(body)})
+
+
+def cover_part_of_the_last_record(data) -> dict:
+    """Rewrite channel 1's checkpoint to hold all entries but the last and to
+    cover their records plus 5 bytes of the last one's, its log CRC-32, entry
+    count and chunks' CRC-32 made to match."""
+    checkpoint = data / "channel-1.checkpoint"
+    log = (data / "channel-1.log").read_bytes()
+    header, stamps, values, _ = checkpoint_parts(checkpoint.read_bytes())
+    header["entries"] -= 1
+    header["log_bytes"] = log.rindex(b"\n", 0, -1) + 1 + 5
+    header["log_crc32"] = zlib.crc32(log[: header["log_bytes"]])
+    body = b"".join(a + b for a, b in chunks(stamps[:-1], values[:-3]))
+    checkpoint.write_bytes(json_line(header) + body + json_line({"chunks_crc32": zlib.crc32(body)}))
+    return {}
 
 
 def format_2_of(raw: bytes) -> bytes:
@@ -1260,6 +1307,7 @@ CHECKPOINT_EDITS = {
     "log-byte-changed": (change_a_log_byte, (1, "the log does not start with the")),
     "log-cut-inside-the-covered-bytes": (cut_the_log, (1, "the log does not start with the")),
     "entry-count-one-short": (edit_the_checkpoint(drop_the_last_entry), (1, "the log does not start with the")),
+    "covered-bytes-end-inside-a-record": (cover_part_of_the_last_record, (1, "the log does not start with the")),
     "chunk-digit-changed": (
         edit_the_checkpoint(change_a_chunk_digit),
         (1, "its trailer is missing or does not match"),
@@ -2021,6 +2069,7 @@ META_CASES = {
     "reused-write-key": {"write_key": BEFORE["write_key"]},
     "reused-read-key": {"read_key": BEFORE["read_key"]},
     "same-write-and-read-key": {"read_key": BAD["write_key"]},
+    "empty-write-key": {"write_key": ""},
     "no-fields": {"field_names": []},
     "nine-fields": {"field_names": [f"f{i}" for i in range(9)]},
     "public-visibility": {"visibility": "public"},
